@@ -1,12 +1,11 @@
 // Fig. 5 reproduction: strong scaling of MS-BFS-Graft per graph class.
 //
 // The paper plots speedup vs thread count (up to 40 cores / 80 threads
-// on Mirasol, 24/48 on Edison), averaged per class. The reproduction
-// substrate is a single-core container, so this bench reports the same
-// table -- speedup of T threads over 1 thread, averaged per class -- and
-// labels it honestly: with one physical core the curve measures parallel
-// OVERHEAD (values <= 1.0 expected); on a real multicore the same binary
-// produces the paper's rising curves.
+// on Mirasol, 24/48 on Edison), averaged per class. This bench reports
+// the same table -- speedup of T threads over 1 thread, averaged per
+// class -- for T = 1, 2, 4, ... up to twice the logical CPU count (the
+// hyperthreading analogue). On a one-CPU host it says so: there the
+// curve measures parallel OVERHEAD (values <= 1.0 expected).
 #include <cstdio>
 #include <map>
 #include <vector>

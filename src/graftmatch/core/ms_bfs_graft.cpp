@@ -87,10 +87,11 @@ struct GraftState {
   std::int64_t unvisited_y = 0;  ///< for the direction heuristic
   bool pool_built = false;       ///< bottom-up candidate pool exists
   /// One-thread team (evaluated after the ThreadCountGuard pins the
-  /// width): bitmap writes then skip the locked RMW the shared-word
-  /// layout otherwise requires. A fetch_or/fetch_and per visit is the
-  /// one place the packed layout loses to byte arrays' plain stores,
-  /// and on a serial team it buys nothing.
+  /// width): the traversal kernels' bitmap writes then skip the locked
+  /// RMW the shared-word layout otherwise requires. A fetch_or per
+  /// visit is the one place the packed layout loses to byte arrays'
+  /// plain stores, and on a serial team it buys nothing. (Pass-boundary
+  /// bitmap maintenance is serial at every width; see publish_frontier.)
   const bool serial;
 
   GraftState(const BipartiteGraph& graph, Matching& matching,
@@ -257,26 +258,19 @@ engine::WordScanCounters bottom_up_words(GraftState& state, std::int64_t& edges,
 /// |activeX| statistic is derived from the Y-side classification and
 /// the surviving roots (every non-root member of an active tree is the
 /// mate of exactly one of its Y vertices).
+///
+/// Runs on the calling thread at every team width, like the graft and
+/// rebuild frees: the bitmap is 1/64th the size of the frontier's
+/// vertex range, so a team setting random bits in it with locked RMWs
+/// mostly bounces shared cache lines between cores (measured 67 us per
+/// publish at width 3 against 8.8 us serially, ~4.7k members). The
+/// next region's fork orders these plain stores before any reader.
 void publish_frontier(GraftState& state, bool mark_active) {
   if (!mark_active) return;
   GraftWorkspace& ws = state.ws;
-  const std::span<const vid_t> members = ws.frontier.items();
-  if (state.serial) {
-    // Runs once per LEVEL; a plain bit loop beats kernel dispatch on a
-    // one-thread team.
-    for (const vid_t x : members) {
-      ws.active_x.set_serial(static_cast<std::size_t>(x));
-    }
-    return;
+  for (const vid_t x : ws.frontier.items()) {
+    ws.active_x.set_serial(static_cast<std::size_t>(x));
   }
-  const auto count = static_cast<std::int64_t>(members.size());
-  parallel_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < count; ++i) {
-      ws.active_x.set(
-          static_cast<std::size_t>(members[static_cast<std::size_t>(i)]));
-    }
-  });
 }
 
 /// Re-insert freed Y vertices into the bottom-up candidate pool. Under
@@ -691,57 +685,24 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
     // (Algorithm 3 lines 16-17 / Algorithm 7 lines 6-7) and dismantle
     // the dead trees' eligible-parent bits: every non-root member is
     // some renewable Y's post-augmentation mate, and the roots are in
-    // renewable_roots.
-    {
-      const auto renewables = ws.renewable_y.items();
-      const auto renewable_count =
-          static_cast<std::int64_t>(renewables.size());
-      const auto dead_roots = ws.renewable_roots.items();
-      const auto dead_root_count =
-          static_cast<std::int64_t>(dead_roots.size());
-      if (state.serial) {
-        for (std::int64_t i = 0; i < renewable_count; ++i) {
-          const vid_t y = renewables[static_cast<std::size_t>(i)];
-          const auto yi = static_cast<std::size_t>(y);
-          ws.visited.clear_serial(yi);
-          if (mark_active) {
-            const vid_t m = state.mate_y[yi];
-            if (m != kInvalidVertex) {
-              ws.active_x.clear_serial(static_cast<std::size_t>(m));
-            }
-          }
+    // renewable_roots. Serial at every width, for the reason
+    // publish_frontier gives.
+    for (const vid_t y : ws.renewable_y.items()) {
+      const auto yi = static_cast<std::size_t>(y);
+      ws.visited.clear_serial(yi);
+      if (mark_active) {
+        const vid_t m = state.mate_y[yi];
+        if (m != kInvalidVertex) {
+          ws.active_x.clear_serial(static_cast<std::size_t>(m));
         }
-        if (mark_active) {
-          for (std::int64_t i = 0; i < dead_root_count; ++i) {
-            ws.active_x.clear_serial(
-                static_cast<std::size_t>(dead_roots[static_cast<std::size_t>(i)]));
-          }
-        }
-      } else {
-        parallel_region([&] {
-#pragma omp for schedule(static) nowait
-          for (std::int64_t i = 0; i < renewable_count; ++i) {
-            const vid_t y = renewables[static_cast<std::size_t>(i)];
-            const auto yi = static_cast<std::size_t>(y);
-            ws.visited.clear(yi);
-            if (mark_active) {
-              const vid_t m = state.mate_y[yi];
-              if (m != kInvalidVertex) {
-                ws.active_x.clear(static_cast<std::size_t>(m));
-              }
-            }
-          }
-          if (mark_active) {
-#pragma omp for schedule(static)
-            for (std::int64_t i = 0; i < dead_root_count; ++i) {
-              ws.active_x.clear(static_cast<std::size_t>(
-                  dead_roots[static_cast<std::size_t>(i)]));
-            }
-          }
-        });
       }
-      state.unvisited_y += renewable_count;
     }
+    if (mark_active) {
+      for (const vid_t r : ws.renewable_roots.items()) {
+        ws.active_x.clear_serial(static_cast<std::size_t>(r));
+      }
+    }
+    state.unvisited_y += static_cast<std::int64_t>(ws.renewable_y.size());
 
     const bool graft_profitable =
         config.tree_grafting &&
@@ -776,26 +737,11 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
       // Rebuild: destroy all trees and restart from the unmatched
       // X vertices (Algorithm 7 lines 10-15). Freeing the active Y
       // vertices plus two epoch bumps IS the teardown -- no O(nx)
-      // root_x clear.
-      {
-        const auto items = ws.active_y.items();
-        const auto count = static_cast<std::int64_t>(items.size());
-        if (state.serial) {
-          for (std::int64_t i = 0; i < count; ++i) {
-            ws.visited.clear_serial(
-                static_cast<std::size_t>(items[static_cast<std::size_t>(i)]));
-          }
-        } else {
-          parallel_region([&] {
-#pragma omp for schedule(static)
-            for (std::int64_t i = 0; i < count; ++i) {
-              ws.visited.clear(
-                  static_cast<std::size_t>(items[static_cast<std::size_t>(i)]));
-            }
-          });
-        }
-        state.unvisited_y += count;
+      // root_x clear. Serial at every width, like the frees above.
+      for (const vid_t y : ws.active_y.items()) {
+        ws.visited.clear_serial(static_cast<std::size_t>(y));
       }
+      state.unvisited_y += static_cast<std::int64_t>(ws.active_y.size());
       // A rebuild frees the WHOLE forest's Y set. Refilling the pool
       // with it would cost O(|forest|) per rebuild for candidates a
       // later bottom-up pass may never scan (rebuild-heavy instances

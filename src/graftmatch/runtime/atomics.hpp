@@ -123,19 +123,13 @@ inline bool claim_bit(std::uint64_t& word, std::uint64_t mask) noexcept {
           mask) == 0;
 }
 
-/// Atomic fetch-or / fetch-and with relaxed ordering (bitmap bits whose
-/// owners need no publication beyond the enclosing region join).
+/// Atomic fetch-or with relaxed ordering (bitmap bits whose owners need
+/// no publication beyond the enclosing region join).
 template <typename T>
 inline T fetch_or_relaxed(T& location, T bits) noexcept {
   static_assert(std::atomic_ref<T>::is_always_lock_free);
   return std::atomic_ref<T>(location).fetch_or(bits,
                                                std::memory_order_relaxed);
-}
-template <typename T>
-inline T fetch_and_relaxed(T& location, T bits) noexcept {
-  static_assert(std::atomic_ref<T>::is_always_lock_free);
-  return std::atomic_ref<T>(location).fetch_and(bits,
-                                                std::memory_order_relaxed);
 }
 
 /// Atomic fetch-add with relaxed ordering (counters, queue cursors).

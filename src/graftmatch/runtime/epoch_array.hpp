@@ -30,6 +30,7 @@
 // runs, and reset paths only pay O(n) when dimensions actually change.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -153,9 +154,14 @@ class AtomicBitmap {
                        std::uint64_t{0});
   }
 
-  /// Zero every word (parallel fill, 1/64th of a byte-array clear).
+  /// Zero every word (1/64th of a byte-array clear). A plain fill on
+  /// the calling thread: the pages were first-touched by reset(), and a
+  /// team would only split a few kilobytes of words across cores.
   /// Serial-only.
-  void clear_all() { words_.fill(std::uint64_t{0}); }
+  void clear_all() {
+    const std::span<std::uint64_t> words = words_.span();
+    std::fill(words.begin(), words.end(), std::uint64_t{0});
+  }
 
   bool test(std::size_t i) const noexcept {
     return (relaxed_load(words_[i / kBitsPerWord]) >>
@@ -169,20 +175,16 @@ class AtomicBitmap {
                      std::uint64_t{1} << (i % kBitsPerWord));
   }
 
-  /// Set / clear without claiming. Atomic RMW (relaxed) because 64
-  /// neighbors share each word even when each BIT has a single owner.
+  /// Set without claiming. Atomic RMW (relaxed) because 64 neighbors
+  /// share each word even when each BIT has a single owner.
   void set(std::size_t i) noexcept {
     fetch_or_relaxed(words_[i / kBitsPerWord],
                      std::uint64_t{1} << (i % kBitsPerWord));
   }
-  void clear(std::size_t i) noexcept {
-    fetch_and_relaxed(words_[i / kBitsPerWord],
-                      ~(std::uint64_t{1} << (i % kBitsPerWord)));
-  }
 
-  /// Plain (non-atomic) set / clear for serial sections between
-  /// parallel passes; the region fork orders them before any parallel
-  /// reader.
+  /// Plain (non-atomic) set / clear for one-thread teams and for the
+  /// serial sections between parallel passes; the region fork orders
+  /// them before any parallel reader.
   void set_serial(std::size_t i) noexcept {
     words_[i / kBitsPerWord] |= std::uint64_t{1} << (i % kBitsPerWord);
   }

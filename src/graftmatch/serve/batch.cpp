@@ -5,8 +5,9 @@
 namespace graftmatch::serve {
 
 BatchKey batch_key(const MatchRequest& request) {
-  return BatchKey{request.graph, request.solver, request.initializer,
-                  request.reduce, request.shard};
+  return BatchKey{request.graph,  request.solver, request.initializer,
+                  request.reduce, request.shard,  request.dirsel,
+                  request.kernel};
 }
 
 bool BatchScheduler::next_batch(std::vector<ServerTask>& out) {

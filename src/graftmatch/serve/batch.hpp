@@ -3,15 +3,15 @@
 //
 // MS-BFS-Graft is natively multi-source -- one run amortizes traversal
 // across many active trees -- so N concurrent requests for the same
-// (graph, solver, initializer, reduce, shard) key do not need N solver
-// runs: one run answers all of them. The scheduler turns the FIFO
-// backlog into groups: a worker seeds a batch with the oldest queued
-// task, claims every other queued task with the same key (extract_if,
-// which leaves other groups' queue positions untouched), and then holds
-// a bounded coalescing window open (wait_push_until) so requests
-// arriving microseconds apart ride the same solve. The worker executes
-// one engine::run_batch for the group and fans the single result out to
-// every member's promise.
+// (graph, solver, initializer, reduce, shard, dirsel, kernel) key do
+// not need N solver runs: one run answers all of them. The scheduler
+// turns the FIFO backlog into groups: a worker seeds a batch with the
+// oldest queued task, claims every other queued task with the same key
+// (extract_if, which leaves other groups' queue positions untouched),
+// and then holds a bounded coalescing window open (wait_push_until) so
+// requests arriving microseconds apart ride the same solve. The worker
+// executes one engine::run_batch for the group and fans the single
+// result out to every member's promise.
 //
 // The scheduler is shared by all workers and keeps NO private state --
 // every pending task stays in the BoundedQueue until a batch claims it,
@@ -41,17 +41,21 @@ struct ServerTask {
   bool has_deadline = false;
 };
 
-/// The coalescing key: requests agreeing on all five fields are
-/// answered by one solve. `threads` is deliberately absent -- width is
-/// an execution hint, not a result-changing input (every solver is
-/// cardinality-deterministic across widths), so the group runs at the
-/// seed member's width and everyone shares the answer.
+/// The coalescing key: requests agreeing on all seven fields are
+/// answered by one solve, so each group's seed is validated with the
+/// same lookup fields as every member. `threads` is deliberately
+/// absent -- width is an execution hint, not a result-changing input
+/// (every solver is cardinality-deterministic across widths), so the
+/// group runs at the seed member's width and everyone shares the
+/// answer.
 struct BatchKey {
   std::string graph;
   std::string solver;
   std::string initializer;
   std::string reduce;
   std::string shard;
+  std::string dirsel;
+  std::string kernel;
 
   friend bool operator==(const BatchKey&, const BatchKey&) = default;
 };

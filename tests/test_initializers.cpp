@@ -3,6 +3,8 @@
 // matcher.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graftmatch/baselines/hopcroft_karp.hpp"
 #include "graftmatch/gen/chung_lu.hpp"
 #include "graftmatch/gen/erdos_renyi.hpp"
@@ -14,6 +16,7 @@
 #include "graftmatch/init/karp_sipser.hpp"
 #include "graftmatch/init/parallel_karp_sipser.hpp"
 #include "graftmatch/init/streaming_ks.hpp"
+#include "graftmatch/runtime/prng.hpp"
 #include "graftmatch/verify/validate.hpp"
 
 namespace graftmatch {
@@ -160,6 +163,77 @@ TEST(RandomizedGreedy, MaximalValidDeterministic) {
   // A different seed gives a different maximal matching (overwhelmingly).
   const Matching c = randomized_greedy(g, 4);
   EXPECT_NE(a, c);
+}
+
+// randomized_greedy as a plain loop, without the software prefetching
+// the library version adds: the reference its output must equal.
+Matching randomized_greedy_reference(const BipartiteGraph& g,
+                                     std::uint64_t seed) {
+  Matching matching(g.num_x(), g.num_y());
+  Xoshiro256 rng(seed);
+  std::vector<vid_t> order(static_cast<std::size_t>(g.num_x()));
+  for (vid_t x = 0; x < g.num_x(); ++x) {
+    order[static_cast<std::size_t>(x)] = x;
+  }
+  for (vid_t i = g.num_x() - 1; i > 0; --i) {
+    const auto j =
+        static_cast<vid_t>(rng.below(static_cast<std::uint64_t>(i) + 1));
+    std::swap(order[static_cast<std::size_t>(i)],
+              order[static_cast<std::size_t>(j)]);
+  }
+  for (const vid_t x : order) {
+    const auto adj = g.neighbors_of_x(x);
+    if (adj.empty()) continue;
+    const auto start = static_cast<std::size_t>(
+        rng.below(static_cast<std::uint64_t>(adj.size())));
+    for (std::size_t k = 0; k < adj.size(); ++k) {
+      const vid_t y = adj[(start + k) % adj.size()];
+      if (!matching.is_matched_y(y)) {
+        matching.match(x, y);
+        break;
+      }
+    }
+  }
+  return matching;
+}
+
+TEST(RandomizedGreedy, PrefetchingLoopMatchesPlainLoop) {
+  std::vector<BipartiteGraph> corpus;
+  {
+    ChungLuParams p;
+    p.nx = p.ny = 3000;
+    p.avg_degree = 6.0;
+    p.max_degree = 300;
+    corpus.push_back(generate_chung_lu(p));
+  }
+  {
+    RmatParams p;
+    p.scale = 11;
+    p.edge_factor = 8;
+    corpus.push_back(generate_rmat(p));
+  }
+  {
+    GridParams p;
+    p.width = 40;
+    p.height = 40;
+    p.diagonal_drop = 0.2;
+    corpus.push_back(generate_grid(p));
+  }
+  {
+    // Isolated X vertices: empty adjacencies draw no probe start.
+    ErdosRenyiParams p;
+    p.nx = 2000;
+    p.ny = 1500;
+    p.edges = 2500;
+    corpus.push_back(generate_erdos_renyi(p));
+  }
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    for (const std::uint64_t seed : {1u, 2u, 7u, 42u}) {
+      EXPECT_EQ(randomized_greedy(corpus[i], seed),
+                randomized_greedy_reference(corpus[i], seed))
+          << "graph " << i << " seed " << seed;
+    }
+  }
 }
 
 TEST(IsMaximal, DetectsNonMaximal) {

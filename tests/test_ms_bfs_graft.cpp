@@ -321,6 +321,46 @@ TEST(MsBfsGraft, InvariantAuditPassesAcrossConfigurations) {
   }
 }
 
+TEST(MsBfsGraft, WideTeamsGraftAndRebuildUnderTheAudit) {
+  // The pass-boundary bitmap maintenance (frontier publish, graft
+  // frees, rebuild clears) runs on the calling thread at every width;
+  // the audit at the end of each Step 1 checks the eligible-parent and
+  // visited bits it leaves behind. The solve must take both the graft
+  // and the rebuild branch at each width for that to cover both paths:
+  // from the empty matching with alpha = 0.5, the early path-rich
+  // phases of this scale-free graph rebuild and the later ones graft.
+  ChungLuParams params;
+  params.nx = params.ny = 4000;
+  params.avg_degree = 4.0;
+  params.max_degree = 200;
+  const BipartiteGraph g = generate_chung_lu(params);
+  const std::int64_t maximum = maximum_matching_cardinality(g);
+  for (const int threads : {2, 3, 4}) {
+    RunConfig config;
+    config.threads = threads;
+    config.alpha = 0.5;
+    config.check_invariants = true;
+    config.collect_phase_stats = true;
+    Matching m(g.num_x(), g.num_y());
+    RunStats stats;
+    ASSERT_NO_THROW(stats = ms_bfs_graft(g, m, config))
+        << "threads=" << threads;
+    EXPECT_EQ(stats.threads_used, threads);
+    EXPECT_EQ(m.cardinality(), maximum) << "threads=" << threads;
+    EXPECT_TRUE(is_maximum_matching(g, m));
+    // The last row is the terminating phase, which neither grafts nor
+    // rebuilds; every earlier row took exactly one of the two.
+    std::int64_t grafted = 0;
+    std::int64_t rebuilt = 0;
+    for (const PhaseStats& row : stats.phase_stats) {
+      if (row.augmentations == 0) continue;
+      (row.grafted ? grafted : rebuilt) += 1;
+    }
+    EXPECT_GT(grafted, 0) << "threads=" << threads;
+    EXPECT_GT(rebuilt, 0) << "threads=" << threads;
+  }
+}
+
 TEST(MsBfsGraft, InvariantAuditOnScientificClass) {
   GridParams params;
   params.width = 64;

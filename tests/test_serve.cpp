@@ -149,6 +149,15 @@ TEST(BatchKey, GroupsOnSolveIdentityNotThreads) {
   MatchRequest c = a;
   c.reduce = "d1";
   EXPECT_FALSE(batch_key(a) == batch_key(c));
+
+  // The traversal backend is part of the answer's provenance and of
+  // request validation, so it splits groups too.
+  MatchRequest d = a;
+  d.dirsel = "adaptive";
+  EXPECT_FALSE(batch_key(a) == batch_key(d));
+  MatchRequest e = a;
+  e.kernel = "word";
+  EXPECT_FALSE(batch_key(a) == batch_key(e));
 }
 
 TEST(Protocol, RequestRoundTrip) {
@@ -643,6 +652,55 @@ TEST(MatchServer, MixedKeysSplitIntoPerKeyBatches) {
     EXPECT_EQ(response.batch, 2);
   }
   EXPECT_EQ(server.counters().batches, 2u);
+}
+
+TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
+  // Regression: the key once ignored dirsel/kernel, so a malformed
+  // member queued behind a default request rode the default seed's
+  // solve and came back ok=1 batch=2 instead of a request error.
+  const GraphRoster roster = small_roster();
+  ServerOptions options;
+  options.workers = 1;
+  options.autostart = false;
+  options.batch_max = 16;
+  options.batch_window_us = 0;
+  MatchServer server(roster, options);
+
+  MatchRequest plain;
+  plain.graph = "alpha";
+  MatchRequest bogus = plain;
+  bogus.dirsel = "bogus";
+  bogus.kernel = "nonsense";
+  MatchRequest adaptive = plain;
+  adaptive.dirsel = "adaptive";
+  std::future<MatchResponse> plain_pending, bogus_pending, adaptive_pending;
+  ASSERT_TRUE(server.try_submit(plain, plain_pending));
+  ASSERT_TRUE(server.try_submit(bogus, bogus_pending));
+  ASSERT_TRUE(server.try_submit(adaptive, adaptive_pending));
+  server.start();
+
+  const MatchResponse plain_response = plain_pending.get();
+  EXPECT_TRUE(plain_response.ok) << plain_response.error;
+  EXPECT_EQ(plain_response.batch, 1);
+
+  const MatchResponse bogus_response = bogus_pending.get();
+  EXPECT_FALSE(bogus_response.ok);
+  EXPECT_NE(bogus_response.error.find("unknown dirsel policy"),
+            std::string::npos)
+      << bogus_response.error;
+  EXPECT_EQ(bogus_response.batch, 1);
+
+  const MatchResponse adaptive_response = adaptive_pending.get();
+  EXPECT_TRUE(adaptive_response.ok) << adaptive_response.error;
+  EXPECT_EQ(adaptive_response.batch, 1)
+      << "a valid non-default dirsel is not folded into the default group";
+  EXPECT_EQ(adaptive_response.cardinality,
+            roster.find("alpha")->maximum_cardinality);
+
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.batches, 3u);
+  EXPECT_EQ(counters.coalesced, 0u);
+  EXPECT_EQ(counters.failed, 1u);
 }
 
 TEST(MatchServer, BatchMaxOneDisablesCoalescing) {
