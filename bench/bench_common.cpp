@@ -34,8 +34,7 @@ double env_double(const char* name, double fallback) {
                "usage: %s [--seed N] [--threads N] [--size F] [--runs N]\n"
                "          [--batch B] [--batches N] [--window F]\n"
                "          [--init %s]\n"
-               "          [--reduce none|d1|d1d2] [--shard none|dm] "
-               "[--solver NAME]\n"
+               "          [--reduce none|d1]\n"
                "          [--dirsel fixed|adaptive|td|bu] [--kernel bit|word]\n"
                "          [--only SUBSTR] [--results-dir DIR]\n"
                "Each flag overrides the matching GRAFTMATCH_* environment "
@@ -66,13 +65,7 @@ void validate_flag_value(const char* flag, const char* value) {
     ReduceMode mode;
     if (!parse_reduce_mode(value, mode)) {
       std::fprintf(stderr,
-                   "bad value '%s' for --reduce (none | d1 | d1d2)\n", value);
-      std::exit(2);
-    }
-  } else if (name == "--shard") {
-    ShardMode mode;
-    if (!parse_shard_mode(value, mode)) {
-      std::fprintf(stderr, "bad value '%s' for --shard (none | dm)\n", value);
+                   "bad value '%s' for --reduce (none | d1)\n", value);
       std::exit(2);
     }
   } else if (name == "--dirsel") {
@@ -92,7 +85,7 @@ void validate_flag_value(const char* flag, const char* value) {
       std::exit(2);
     }
   }
-  // --init, --solver, --only, and --results-dir take free-form
+  // --init, --only, and --results-dir take free-form
   // strings; the registry lookups validate the names where they are
   // consumed.
 }
@@ -112,10 +105,8 @@ void apply_cli_overrides(int argc, char** argv) {
       {"--window", "GRAFTMATCH_WINDOW"},
       {"--init", "GRAFTMATCH_INIT"},
       {"--reduce", "GRAFTMATCH_REDUCE"},
-      {"--shard", "GRAFTMATCH_SHARD"},
       {"--dirsel", "GRAFTMATCH_DIRSEL"},
       {"--kernel", "GRAFTMATCH_KERNEL"},
-      {"--solver", "GRAFTMATCH_SOLVER"},
       {"--only", "GRAFTMATCH_ONLY"},
       {"--results-dir", "GRAFTMATCH_RESULTS_DIR"},
   };
@@ -169,11 +160,6 @@ std::string init_name() {
   return value != nullptr ? value : "rgreedy";
 }
 
-std::string solver_name(const std::string& fallback) {
-  const char* value = std::getenv("GRAFTMATCH_SOLVER");
-  return value != nullptr ? value : fallback;
-}
-
 bool instance_selected(const std::string& name) {
   const char* filter = std::getenv("GRAFTMATCH_ONLY");
   if (filter == nullptr || filter[0] == '\0') return true;
@@ -199,19 +185,7 @@ ReduceMode reduce_mode() {
   ReduceMode mode;
   if (!parse_reduce_mode(value, mode)) {
     std::fprintf(stderr,
-                 "bad value '%s' for GRAFTMATCH_REDUCE (none | d1 | d1d2)\n",
-                 value);
-    std::exit(2);
-  }
-  return mode;
-}
-
-ShardMode shard_mode() {
-  const char* value = std::getenv("GRAFTMATCH_SHARD");
-  if (value == nullptr) return ShardMode::kNone;
-  ShardMode mode;
-  if (!parse_shard_mode(value, mode)) {
-    std::fprintf(stderr, "bad value '%s' for GRAFTMATCH_SHARD (none | dm)\n",
+                 "bad value '%s' for GRAFTMATCH_REDUCE (none | d1)\n",
                  value);
     std::exit(2);
   }
@@ -273,10 +247,10 @@ void print_header(const std::string& bench_name, const std::string& what) {
       thread_override() > 0 ? std::to_string(thread_override()) : "default";
   std::printf(
       "workload  : size factor %.3g, seed %llu, initializer %s, threads %s, "
-      "reduce %s, shard %s, dirsel %s, kernel %s\n\n",
+      "reduce %s, dirsel %s, kernel %s\n\n",
       size_factor(), static_cast<unsigned long long>(seed()),
       init_name().c_str(), threads.c_str(), to_string(reduce_mode()).c_str(),
-      to_string(shard_mode()).c_str(), to_string(direction_policy()).c_str(),
+      to_string(direction_policy()).c_str(),
       to_string(bottom_up_kernel()).c_str());
 }
 
@@ -389,15 +363,13 @@ TimedResult time_matching_runs(
   return result;
 }
 
-TimedResult time_sharded_runs(const BipartiteGraph& g, int runs,
-                              const std::string& solver, ReduceMode reduce,
-                              ShardMode shard) {
+TimedResult time_reduced_runs(const BipartiteGraph& g, int runs,
+                              const std::string& solver, ReduceMode mode) {
   TimedResult result;
   RunConfig config;
   config.seed = seed();
   config.threads = thread_override();
-  config.reduce = reduce;
-  config.shard = shard;
+  config.reduce = mode;
   config.direction_policy = direction_policy();
   config.bottom_up_kernel = bottom_up_kernel();
   const std::string init = init_name();
@@ -405,7 +377,7 @@ TimedResult time_sharded_runs(const BipartiteGraph& g, int runs,
     Matching matching(g.num_x(), g.num_y());
     const Timer timer;
     try {
-      result.last = engine::run_sharded(solver, init, g, matching, config);
+      result.last = engine::run(solver, init, g, matching, config);
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "%s\n", error.what());
       std::exit(2);
@@ -413,11 +385,6 @@ TimedResult time_sharded_runs(const BipartiteGraph& g, int runs,
     result.seconds.push_back(timer.elapsed());
   }
   return result;
-}
-
-TimedResult time_reduced_runs(const BipartiteGraph& g, int runs,
-                              const std::string& solver, ReduceMode mode) {
-  return time_sharded_runs(g, runs, solver, mode, shard_mode());
 }
 
 }  // namespace graftmatch::bench

@@ -17,31 +17,21 @@
 //                         post-initialization workload the paper's
 //                         figures measure. bench_ablation_init
 //                         quantifies the difference explicitly.
-//   GRAFTMATCH_REDUCE  -- kernelization pre-pass: none (default) | d1 |
-//                         d1d2. Benches that honor it route runs
-//                         through engine::run_reduced;
-//                         bench_reduce_gain measures both arms
-//                         explicitly regardless of this knob.
-//   GRAFTMATCH_SHARD   -- sharded execution: none (default) | dm.
-//                         Benches that time through time_reduced_runs
-//                         pick it up (the runs route through
-//                         engine::run_sharded); bench_shard_gain
-//                         measures both arms explicitly regardless.
+//   GRAFTMATCH_REDUCE  -- kernelization pre-pass: none (default) | d1,
+//                         shown in the bench header. bench_reduce_gain
+//                         measures both arms explicitly regardless of
+//                         this knob.
 //   GRAFTMATCH_DIRSEL  -- traversal-direction policy: fixed (default,
 //                         the paper's alpha rule) | adaptive (scout/
 //                         awake edge counts with hysteresis) | td | bu
 //                         (forced single-direction A/B floors). Benches
-//                         that time through time_sharded_runs honor it;
+//                         that time through time_reduced_runs honor it;
 //                         bench_ablation_alpha and bench_fig4 also run
 //                         explicit arms regardless.
 //   GRAFTMATCH_KERNEL  -- bottom-up kernel: bit (default, per-bit
 //                         candidate-pool scan) | word (64-candidate
 //                         ctz sweep with word-granular claims). Same
 //                         benches as GRAFTMATCH_DIRSEL.
-//   GRAFTMATCH_SOLVER  -- registry solver for benches with a
-//                         configurable solver (bench_shard_gain);
-//                         figure benches that reproduce a specific
-//                         algorithm ignore it.
 //   GRAFTMATCH_ONLY    -- substring filter on instance names; benches
 //                         that honor it skip non-matching workloads
 //                         (empty/unset = run everything).
@@ -98,12 +88,6 @@ std::uint64_t seed();
 /// engine's initializer registry is accepted.
 std::string init_name();
 
-/// Name of the selected solver (GRAFTMATCH_SOLVER / --solver) for
-/// benches whose solver is configurable; `fallback` is the bench's
-/// default. Any key of the engine's solver registry is accepted
-/// (validated where the name is consumed).
-std::string solver_name(const std::string& fallback);
-
 /// Substring filter on instance names from GRAFTMATCH_ONLY / --only.
 /// Returns true when `name` should run (empty filter matches all).
 bool instance_selected(const std::string& name);
@@ -123,10 +107,6 @@ double churn_window_fraction(double fallback);
 /// Kernelization mode from GRAFTMATCH_REDUCE / --reduce (default
 /// kNone). Unknown values print an error and exit(2).
 ReduceMode reduce_mode();
-
-/// Sharding mode from GRAFTMATCH_SHARD / --shard (default kNone).
-/// Unknown values print an error and exit(2).
-ShardMode shard_mode();
 
 /// Traversal-direction policy from GRAFTMATCH_DIRSEL / --dirsel
 /// (default kFixed). Unknown values print an error and exit(2).
@@ -210,19 +190,11 @@ TimedResult time_matching_runs(
     const std::function<RunStats(const BipartiteGraph&, Matching&)>& run);
 
 /// Time `runs` END-TO-END executions of registry solver `solver`
-/// through engine::run_reduced with the given kernelization mode:
-/// reduce, initialize (GRAFTMATCH_INIT), solve the kernel, and
-/// reconstruct all fall inside the timed window, so the numbers answer
-/// "was the pre-pass worth it" rather than "is the kernel solve
-/// faster". kNone degenerates to init + solve on the original graph.
-/// Same window with an explicit sharding arm: the runs route through
-/// engine::run_sharded, so decompose/extract/solve/stitch all land
-/// inside the timing. time_reduced_runs forwards here with the
-/// GRAFTMATCH_SHARD mode, so every bench built on it honors --shard.
-TimedResult time_sharded_runs(const BipartiteGraph& g, int runs,
-                              const std::string& solver, ReduceMode reduce,
-                              ShardMode shard);
-
+/// through engine::run with the given kernelization mode: reduce,
+/// initialize (GRAFTMATCH_INIT), solve the kernel, and reconstruct all
+/// fall inside the timed window, so the numbers answer "was the
+/// pre-pass worth it" rather than "is the kernel solve faster". kNone
+/// degenerates to init + solve on the original graph.
 TimedResult time_reduced_runs(const BipartiteGraph& g, int runs,
                               const std::string& solver, ReduceMode mode);
 

@@ -9,15 +9,10 @@
 // Options:
 //   --algo NAME     any solver-registry key (default graft; see --list)
 //   --init NAME     any initializer-registry key (default rgreedy)
-//   --reduce MODE   kernelization pre-pass: none | d1 | d1d2 (default
-//                   none; also accepts --reduce=MODE). The solver runs
-//                   on the kernel; the matching is reconstructed and
-//                   verified on the original graph.
-//   --shard MODE    sharded execution: none | dm (default none; also
-//                   accepts --shard=MODE). dm partitions the graph into
-//                   independent Dulmage-Mendelsohn blocks, solves the
-//                   deficient blocks concurrently, and stitches.
-//                   Composes with --reduce (the kernel is sharded).
+//   --reduce MODE   kernelization pre-pass: none | d1 (default none;
+//                   also accepts --reduce=MODE). The solver runs on the
+//                   kernel; the matching is reconstructed and verified
+//                   on the original graph.
 //   --dirsel POLICY traversal-direction policy: fixed | adaptive | td |
 //                   bu (default fixed; also accepts --dirsel=POLICY).
 //                   fixed is the paper's |F| >= unvisited/alpha rule;
@@ -69,7 +64,7 @@ std::string joined_keys(const std::vector<std::string>& names) {
   std::fprintf(stderr,
                "usage: %s (--mtx FILE | --gen INSTANCE | --list) "
                "[--algo NAME] [--init NAME]\n"
-               "       [--reduce MODE] [--shard MODE] [--dirsel POLICY] "
+               "       [--reduce MODE] [--dirsel POLICY] "
                "[--kernel ARM]\n"
                "       [--threads N] [--alpha A] [--seed S]\n"
                "       [--size F] [--churn N] [--batch B] [--dm] [--phases] "
@@ -77,8 +72,7 @@ std::string joined_keys(const std::vector<std::string>& names) {
                "       [--no-verify]\n"
                "  --algo: %s\n"
                "  --init: %s\n"
-               "  --reduce: none | d1 | d1d2\n"
-               "  --shard: none | dm\n"
+               "  --reduce: none | d1\n"
                "  --dirsel: fixed | adaptive | td | bu\n"
                "  --kernel: bit | word\n",
                argv0, joined_keys(engine::solver_names()).c_str(),
@@ -159,17 +153,7 @@ int main(int argc, char** argv) {
       const std::string value = arg == "--reduce" ? next() : arg.substr(9);
       if (!parse_reduce_mode(value, config.reduce)) {
         std::fprintf(stderr,
-                     "error: unknown --reduce mode \"%s\" "
-                     "(none | d1 | d1d2)\n",
-                     value.c_str());
-        return 2;
-      }
-    }
-    else if (arg == "--shard" || arg.rfind("--shard=", 0) == 0) {
-      const std::string value = arg == "--shard" ? next() : arg.substr(8);
-      if (!parse_shard_mode(value, config.shard)) {
-        std::fprintf(stderr,
-                     "error: unknown --shard mode \"%s\" (none | dm)\n",
+                     "error: unknown --reduce mode \"%s\" (none | d1)\n",
                      value.c_str());
         return 2;
       }
@@ -252,11 +236,10 @@ int main(int argc, char** argv) {
   Matching matching(graph.num_x(), graph.num_y());
   RunStats stats;
   if (churn_batches > 0) {
-    if (config.reduce != ReduceMode::kNone ||
-        config.shard != ShardMode::kNone) {
+    if (config.reduce != ReduceMode::kNone) {
       std::fprintf(stderr,
-                   "error: --churn composes with neither --reduce nor "
-                   "--shard (the matcher owns the live graph)\n");
+                   "error: --churn does not compose with --reduce (the "
+                   "matcher owns the live graph)\n");
       return 2;
     }
     if (graph.num_edges() == 0) {
@@ -306,8 +289,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(matcher.cardinality() - solved));
     stats = matcher.stats();
     matching = matcher.matching();
-  } else if (config.reduce == ReduceMode::kNone &&
-             config.shard == ShardMode::kNone) {
+  } else if (config.reduce == ReduceMode::kNone) {
     const Timer init_timer;
     matching = make_initial(init, graph, config);
     std::printf("init (%s): |M| = %lld in %s\n", init.c_str(),
@@ -315,65 +297,26 @@ int main(int argc, char** argv) {
                 format_seconds(init_timer.elapsed()).c_str());
     stats = run_algorithm(algo, graph, matching, config);
   } else {
-    // run_sharded owns the whole pipeline: reduce, init + (sharded)
-    // solve on the kernel, reconstruct on the original graph.
+    // engine::run owns the whole pipeline: reduce, init + solve on the
+    // kernel, reconstruct on the original graph.
     try {
-      stats = engine::run_sharded(algo, init, graph, matching, config);
+      stats = engine::run(algo, init, graph, matching, config);
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "%s\n", error.what());
       return 2;
     }
-    if (stats.reduce.collected) {
-      const ReduceCounters& r = stats.reduce;
-      std::printf("reduce (%s): kernel %lldx%lld with %lld edges, "
-                  "forced %lld, folds %lld, %lld rounds in %s\n",
-                  to_string(r.mode).c_str(),
-                  static_cast<long long>(r.kernel_nx),
-                  static_cast<long long>(r.kernel_ny),
-                  static_cast<long long>(r.kernel_edges),
-                  static_cast<long long>(r.forced_matches),
-                  static_cast<long long>(r.folds),
-                  static_cast<long long>(r.rounds),
-                  format_seconds(r.reduce_seconds + r.compact_seconds +
-                                 r.reconstruct_seconds)
-                      .c_str());
-    }
-    if (stats.shard.collected) {
-      const ShardCounters& sh = stats.shard;
-      if (sh.fallback) {
-        // largest_block_edges == 0 means the payoff gate aborted before
-        // the census finished; a positive value means the census found
-        // one dominant deficient block.
-        if (sh.largest_block_edges > 0) {
-          std::printf("shard (%s): monolithic fallback (1 deficient block "
-                      "with %lld of %lld edges)\n",
-                      to_string(sh.mode).c_str(),
-                      static_cast<long long>(sh.largest_block_edges),
-                      static_cast<long long>(graph.num_edges()));
-        } else {
-          std::printf("shard (%s): monolithic fallback (payoff gate "
-                      "aborted the classification: deficient region too "
-                      "large or too concentrated)\n",
-                      to_string(sh.mode).c_str());
-        }
-      } else {
-        std::printf("shard (%s): %lld blocks (H %lld | S %lld | V %lld), "
-                    "%lld frozen, %lld solved (%lld wide, %lld pooled) "
-                    "in %s\n",
-                    to_string(sh.mode).c_str(),
-                    static_cast<long long>(sh.blocks_total),
-                    static_cast<long long>(sh.blocks_h),
-                    static_cast<long long>(sh.blocks_s),
-                    static_cast<long long>(sh.blocks_v),
-                    static_cast<long long>(sh.blocks_frozen),
-                    static_cast<long long>(sh.blocks_solved),
-                    static_cast<long long>(sh.solved_wide),
-                    static_cast<long long>(sh.solved_pooled),
-                    format_seconds(sh.decompose_seconds + sh.extract_seconds +
-                                   sh.solve_seconds + sh.stitch_seconds)
-                        .c_str());
-      }
-    }
+    const ReduceCounters& r = stats.reduce;
+    std::printf("reduce (%s): kernel %lldx%lld with %lld edges, "
+                "forced %lld, %lld rounds in %s\n",
+                to_string(r.mode).c_str(),
+                static_cast<long long>(r.kernel_nx),
+                static_cast<long long>(r.kernel_ny),
+                static_cast<long long>(r.kernel_edges),
+                static_cast<long long>(r.forced_matches),
+                static_cast<long long>(r.rounds),
+                format_seconds(r.reduce_seconds + r.compact_seconds +
+                               r.reconstruct_seconds)
+                    .c_str());
   }
   if (want_json) {
     std::printf("%s\n", run_stats_json(stats).c_str());

@@ -46,7 +46,6 @@ std::string to_string(ReduceMode mode) {
   switch (mode) {
     case ReduceMode::kNone: return "none";
     case ReduceMode::kDegree1: return "d1";
-    case ReduceMode::kDegree12: return "d1d2";
   }
   return "none";
 }
@@ -56,27 +55,6 @@ bool parse_reduce_mode(const std::string& name, ReduceMode& mode) {
     mode = ReduceMode::kNone;
   } else if (name == "d1") {
     mode = ReduceMode::kDegree1;
-  } else if (name == "d1d2") {
-    mode = ReduceMode::kDegree12;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-std::string to_string(ShardMode mode) {
-  switch (mode) {
-    case ShardMode::kNone: return "none";
-    case ShardMode::kDm: return "dm";
-  }
-  return "none";
-}
-
-bool parse_shard_mode(const std::string& name, ShardMode& mode) {
-  if (name == "none") {
-    mode = ShardMode::kNone;
-  } else if (name == "dm") {
-    mode = ShardMode::kDm;
   } else {
     return false;
   }
@@ -144,16 +122,6 @@ std::string format_run_stats(const RunStats& stats) {
         << stats.reduce.kernel_edges << " edges, forced "
         << stats.reduce.forced_matches << ")";
   }
-  if (stats.shard.collected) {
-    out << " shard=" << to_string(stats.shard.mode);
-    if (stats.shard.fallback) {
-      out << "(fallback)";
-    } else {
-      out << "(" << stats.shard.blocks_solved << "/"
-          << stats.shard.blocks_total << " blocks solved, "
-          << stats.shard.blocks_frozen << " frozen)";
-    }
-  }
   if (stats.direction.collected &&
       (stats.direction.policy != DirectionPolicy::kFixed ||
        stats.direction.kernel != BottomUpKernel::kBit)) {
@@ -211,7 +179,6 @@ std::string run_stats_json(const RunStats& stats) {
     out << ",\"rounds\":" << r.rounds << ",\"isolated_x\":" << r.isolated_x
         << ",\"isolated_y\":" << r.isolated_y
         << ",\"forced_matches\":" << r.forced_matches
-        << ",\"folds\":" << r.folds
         << ",\"vertices_removed\":" << r.vertices_removed
         << ",\"edges_removed\":" << r.edges_removed
         << ",\"kernel_nx\":" << r.kernel_nx
@@ -222,31 +189,6 @@ std::string run_stats_json(const RunStats& stats) {
     append_number(out, r.compact_seconds);
     out << ",\"reconstruct_seconds\":";
     append_number(out, r.reconstruct_seconds);
-    out << "}";
-  }
-  if (stats.shard.collected) {
-    const ShardCounters& sh = stats.shard;
-    out << ",\"shard\":{\"mode\":";
-    append_escaped(out, to_string(sh.mode));
-    out << ",\"fallback\":" << (sh.fallback ? "true" : "false")
-        << ",\"blocks_total\":" << sh.blocks_total
-        << ",\"blocks_solved\":" << sh.blocks_solved
-        << ",\"blocks_frozen\":" << sh.blocks_frozen
-        << ",\"blocks_h\":" << sh.blocks_h
-        << ",\"blocks_s\":" << sh.blocks_s
-        << ",\"blocks_v\":" << sh.blocks_v
-        << ",\"solved_wide\":" << sh.solved_wide
-        << ",\"solved_pooled\":" << sh.solved_pooled
-        << ",\"largest_block_edges\":" << sh.largest_block_edges
-        << ",\"frozen_matched\":" << sh.frozen_matched
-        << ",\"decompose_seconds\":";
-    append_number(out, sh.decompose_seconds);
-    out << ",\"extract_seconds\":";
-    append_number(out, sh.extract_seconds);
-    out << ",\"solve_seconds\":";
-    append_number(out, sh.solve_seconds);
-    out << ",\"stitch_seconds\":";
-    append_number(out, sh.stitch_seconds);
     out << "}";
   }
   if (stats.dynamic.collected) {

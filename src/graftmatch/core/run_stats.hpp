@@ -20,31 +20,16 @@ namespace graftmatch {
 /// Kernelization pre-pass selection (src/graftmatch/reduce/). The mode
 /// names match the `--reduce=` CLI values.
 enum class ReduceMode {
-  kNone,      ///< no preprocessing ("none")
-  kDegree1,   ///< isolated removal + pendant cascade ("d1")
-  kDegree12,  ///< d1 plus degree-2 X-vertex folds ("d1d2")
+  kNone,     ///< no preprocessing ("none")
+  kDegree1,  ///< isolated removal + pendant cascade ("d1")
 };
 
-/// Canonical CLI name of a mode ("none" / "d1" / "d1d2").
+/// Canonical CLI name of a mode ("none" / "d1").
 std::string to_string(ReduceMode mode);
 
 /// Inverse of to_string; returns false (leaving `mode` untouched) for
 /// unknown names.
 bool parse_reduce_mode(const std::string& name, ReduceMode& mode);
-
-/// Sharded-execution selection (src/graftmatch/shard/). The mode names
-/// match the `--shard=` CLI values.
-enum class ShardMode {
-  kNone,  ///< monolithic solve ("none")
-  kDm,    ///< Dulmage-Mendelsohn block sharding ("dm")
-};
-
-/// Canonical CLI name of a mode ("none" / "dm").
-std::string to_string(ShardMode mode);
-
-/// Inverse of to_string; returns false (leaving `mode` untouched) for
-/// unknown names.
-bool parse_shard_mode(const std::string& name, ShardMode& mode);
 
 /// Traversal-direction policy for the level-synchronous searches
 /// (engine/direction.hpp). The names match the `--dirsel=` CLI values.
@@ -122,17 +107,10 @@ struct RunConfig {
   /// Seed for any tie-breaking randomness an algorithm may use.
   std::uint64_t seed = 1;
 
-  /// Kernelization pre-pass (engine::run_reduced): reduce the graph,
+  /// Kernelization pre-pass (engine::run): reduce the graph,
   /// solve on the kernel, reconstruct onto the original. Solvers
   /// themselves ignore this field; it is read by the engine driver.
   ReduceMode reduce = ReduceMode::kNone;
-
-  /// Sharded execution (engine::run_sharded): partition the graph into
-  /// independent Dulmage-Mendelsohn blocks, solve the deficient blocks
-  /// concurrently, and stitch. Solvers themselves ignore this field; it
-  /// is read by the engine driver. Composes with `reduce` (the kernel
-  /// is what gets sharded).
-  ShardMode shard = ShardMode::kNone;
 
   /// Traversal-direction policy for the level-synchronous searches
   /// (MS-BFS-Graft's top-down/bottom-up switch). kFixed is the paper's
@@ -235,7 +213,7 @@ struct DirectionCounters {
 
 /// Counters from the kernelization pre-pass (src/graftmatch/reduce/).
 /// `collected` stays false when no reduction ran; the other fields are
-/// then meaningless. Stamped by engine::run_reduced.
+/// then meaningless. Stamped by engine::run.
 struct ReduceCounters {
   bool collected = false;
   ReduceMode mode = ReduceMode::kNone;
@@ -243,7 +221,6 @@ struct ReduceCounters {
   std::int64_t isolated_x = 0;      ///< degree-0 X vertices removed
   std::int64_t isolated_y = 0;      ///< degree-0 Y vertices removed
   std::int64_t forced_matches = 0;  ///< pendant (degree-1) matches
-  std::int64_t folds = 0;           ///< degree-2 X-vertex folds
   std::int64_t vertices_removed = 0;  ///< X+Y vertices not in the kernel
   std::int64_t edges_removed = 0;     ///< original edges not in the kernel
   std::int64_t kernel_nx = 0;
@@ -252,39 +229,6 @@ struct ReduceCounters {
   double reduce_seconds = 0.0;       ///< reduction rounds
   double compact_seconds = 0.0;      ///< renumber + kernel CSR build
   double reconstruct_seconds = 0.0;  ///< kernel matching -> original
-};
-
-/// Counters from the sharded execution path (src/graftmatch/shard/).
-/// `collected` stays false when no sharded run happened; the other
-/// fields are then meaningless. Stamped by engine::run_sharded.
-///
-/// A "block" is one connected component of the subgraph induced by one
-/// coarse DM class (H / S / V of the approximate decomposition built
-/// from the initializer's matching). Blocks with no unmatched row or no
-/// unmatched column are provably maximum already and are frozen (their
-/// initializer edges pass straight through to the stitched matching);
-/// only the rest are extracted and solved.
-struct ShardCounters {
-  bool collected = false;
-  ShardMode mode = ShardMode::kNone;
-  /// The plan degenerated (zero solvable blocks, or one dominant block
-  /// covering most of the graph): the solver ran monolithically on the
-  /// original graph, continuing from the initializer's matching.
-  bool fallback = false;
-  std::int64_t blocks_total = 0;   ///< components across all classes
-  std::int64_t blocks_solved = 0;  ///< extracted and solved to maximum
-  std::int64_t blocks_frozen = 0;  ///< provably maximum, skipped
-  std::int64_t blocks_h = 0;       ///< components in the horizontal class
-  std::int64_t blocks_s = 0;       ///< components in the square class
-  std::int64_t blocks_v = 0;       ///< components in the vertical class
-  std::int64_t solved_wide = 0;    ///< blocks solved with the full team
-  std::int64_t solved_pooled = 0;  ///< blocks solved via the 1-thread pool
-  std::int64_t largest_block_edges = 0;  ///< over the solvable blocks
-  std::int64_t frozen_matched = 0;  ///< initializer edges passed through
-  double decompose_seconds = 0.0;   ///< init reach + component labeling
-  double extract_seconds = 0.0;     ///< sub-CSR builds + index remapping
-  double solve_seconds = 0.0;       ///< all per-block solves (wall clock)
-  double stitch_seconds = 0.0;      ///< remap back + audit
 };
 
 /// Counters from the incremental matcher (src/graftmatch/dynamic/).
@@ -347,7 +291,7 @@ struct RunStats {
   ObsCounters obs;
 
   /// Kernelization counters (see ReduceCounters). Stamped by
-  /// engine::run_reduced when a reduction pre-pass ran; on reduced runs
+  /// engine::run when a reduction pre-pass ran; on reduced runs
   /// the cardinalities above are in original-graph terms while
   /// phases/edges/seconds describe the kernel solve.
   ReduceCounters reduce;
@@ -359,11 +303,6 @@ struct RunStats {
   /// Direction-policy and kernel-arm counters (see DirectionCounters).
   /// Stamped by ms_bfs_graft.
   DirectionCounters direction;
-
-  /// Sharded-execution counters (see ShardCounters). Stamped by
-  /// engine::run_sharded when a sharded run happened; phases/edges/
-  /// augmentations are then summed over the per-block solves.
-  ShardCounters shard;
 
   /// Incremental-matching counters (see DynamicCounters). Stamped by
   /// dynamic::DynamicMatcher::stats(); lifetime-cumulative.

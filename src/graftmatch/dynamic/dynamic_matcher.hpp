@@ -58,7 +58,7 @@
 //    `staleness_failure_streak` consecutive searches found no path,
 //    the matcher compacts and re-solves through the engine registry
 //    (RunConfig surface included: solver, initializer, threads,
-//    reduce/shard) -- the same entry point is the oracle the
+//    reduce) -- the same entry point is the oracle the
 //    differential tests compare against.
 //  * Compaction: when the overlay's divergence crosses
 //    `compact_fraction` of the base edges, it is folded back into a
@@ -92,7 +92,7 @@ struct DynamicConfig {
   /// Registry keys for the initial solve and staleness re-solves.
   std::string solver = "graft";
   std::string initializer = "rgreedy";
-  /// RunConfig for those solves (threads, seed, reduce, shard, ...).
+  /// RunConfig for those solves (threads, seed, reduce, ...).
   RunConfig run;
 
   /// Fold the overlay back into a CSR when cost() exceeds this fraction

@@ -2,8 +2,6 @@
 
 #include <omp.h>
 
-#include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -23,9 +21,6 @@
 #include "graftmatch/reduce/reduce.hpp"
 #include "graftmatch/runtime/parallel.hpp"
 #include "graftmatch/runtime/timer.hpp"
-#include "graftmatch/shard/shard.hpp"
-#include "graftmatch/verify/koenig.hpp"
-#include "graftmatch/verify/validate.hpp"
 
 namespace graftmatch::engine {
 namespace {
@@ -226,24 +221,25 @@ void distill_obs(SessionContext& session, RunStats& stats) {
   o.frontier_volume = summary.frontier_volume;
 }
 
-/// Solves a kernel graph end to end: builds the initial matching and
-/// grows it to maximum, however the caller composes that (plain
-/// initializer + solver, or the sharded pipeline).
-using KernelSolveFn = std::function<RunStats(const BipartiteGraph& g,
-                                             Matching& matching)>;
+}  // namespace
 
-/// The reduce -> kernel-solve -> reconstruct pipeline shared by
-/// run_reduced and run_sharded; `solve_kernel` is what varies. Owns the
-/// trace run (when armed) so the reduce/compact/reconstruct spans
-/// emitted outside the solver land in the same trace; nested StatsSinks
-/// record into this run instead of opening their own, and the distilled
-/// counters are stamped here.
-RunStats reduce_pipeline(SessionContext& session, const BipartiteGraph& g,
-                         Matching& matching, const RunConfig& config,
-                         const std::string& trace_name,
-                         const KernelSolveFn& solve_kernel) {
+RunStats run(SessionContext& session, const std::string& solver_name,
+             const std::string& initializer_name, const BipartiteGraph& g,
+             Matching& matching, const RunConfig& config) {
+  const SolverInfo& solver = find_solver(solver_name);
+  if (config.reduce == ReduceMode::kNone) {
+    matching = make_initial_matching(session, initializer_name, g, config);
+    return solver.run(session, g, matching, config);
+  }
+
+  // reduce -> init + solve on the kernel -> reconstruct. The driver owns
+  // the trace run (when armed) so the reduce/compact/reconstruct spans
+  // emitted outside the solver land in the same trace; the solver's
+  // StatsSink records into this run instead of opening its own, and the
+  // distilled counters are stamped here.
   const SessionScope scope(session);
   const ThreadCountGuard guard(config.threads);
+  const std::string trace_name = "reduce+" + solver.name;
   const bool owns_trace =
       session.trace().begin_run(trace_name.c_str(), omp_get_max_threads());
 
@@ -252,8 +248,9 @@ RunStats reduce_pipeline(SessionContext& session, const BipartiteGraph& g,
   // reconstruction pass entirely (the matching is already in
   // original-graph terms).
   const BipartiteGraph& solve_g = reduce::solve_graph(reduction, g);
-  Matching kernel_matching(solve_g.num_x(), solve_g.num_y());
-  RunStats stats = solve_kernel(solve_g, kernel_matching);
+  Matching kernel_matching =
+      make_initial_matching(session, initializer_name, solve_g, config);
+  RunStats stats = solver.run(session, solve_g, kernel_matching, config);
 
   if (reduction.identity) {
     matching = std::move(kernel_matching);
@@ -265,313 +262,21 @@ RunStats reduce_pipeline(SessionContext& session, const BipartiteGraph& g,
 
   stats.reduce = reduction.stats;
   // Translate cardinalities to original-graph terms: each forced match
-  // and each fold contributes exactly one edge on top of the kernel
-  // matching, both before and after the solve, so the augmentation
-  // delta (final - initial) still describes the kernel solve.
-  stats.initial_cardinality +=
-      reduction.stats.forced_matches + reduction.stats.folds;
+  // contributes exactly one edge on top of the kernel matching, both
+  // before and after the solve, so the augmentation delta
+  // (final - initial) still describes the kernel solve.
+  stats.initial_cardinality += reduction.stats.forced_matches;
   stats.final_cardinality = matching.cardinality();
 
   if (owns_trace) distill_obs(session, stats);
   return stats;
 }
 
-/// Fold one per-block solve into the aggregate sharded stats.
-void accumulate_block(RunStats& total, const RunStats& block) {
-  total.phases += block.phases;
-  total.edges_traversed += block.edges_traversed;
-  total.augmentations += block.augmentations;
-  total.total_path_edges += block.total_path_edges;
-  total.step_seconds.top_down += block.step_seconds.top_down;
-  total.step_seconds.bottom_up += block.step_seconds.bottom_up;
-  total.step_seconds.augment += block.step_seconds.augment;
-  total.step_seconds.graft += block.step_seconds.graft;
-  total.step_seconds.statistics += block.step_seconds.statistics;
-  total.step_seconds.other += block.step_seconds.other;
-}
-
-/// The sharded solve of one graph: initializer, DM classification,
-/// per-block solves, stitch, audit. See engine::run_sharded for the
-/// contract; this is the kernel-solve half (the reduce pre-pass and
-/// trace ownership live in the callers).
-RunStats solve_sharded_graph(SessionContext& session,
-                             const SolverInfo& solver,
-                             const std::string& initializer_name,
-                             const BipartiteGraph& g, Matching& matching,
-                             const RunConfig& config) {
-  const SessionScope scope(session);
-  const Timer total_timer;
-  ShardCounters counters;
-  counters.collected = true;
-  counters.mode = ShardMode::kDm;
-
-  matching = make_initial_matching(session, initializer_name, g, config);
-  const std::int64_t initial_cardinality = matching.cardinality();
-
-  // Saturating one side is a maximality certificate: no augmenting path
-  // can exist, so there is nothing to classify, let alone solve.
-  if (initial_cardinality == g.num_x() || initial_cardinality == g.num_y()) {
-    RunStats stats;
-    stats.algorithm = solver.display_name;
-    stats.threads_used = omp_get_max_threads();
-    stats.initial_cardinality = initial_cardinality;
-    stats.final_cardinality = initial_cardinality;
-    stats.seconds = total_timer.elapsed();
-    stats.shard = counters;
-    return stats;
-  }
-
-  obs::emit_begin(obs::names::kShardDecompose);
-  const Timer decompose_timer;
-  // Payoff gate: a component crossing a sixteenth of the edge mass
-  // means the graph is dominated by one deficient block, so the
-  // decomposition aborts (a fraction of one pass in) and we solve
-  // monolithically. Block-rich graphs sit well under the cap (32
-  // communities put the largest component near m/32), while web-shaped
-  // giants trip it a few percent of a pass in.
-  const shard::ShardClassification classes =
-      shard::classify_shards(g, matching, g.num_edges() / 16);
-  counters.decompose_seconds = decompose_timer.elapsed();
-  // The coarse H and S parts are frozen as wholes (one block each when
-  // non-empty); only the V part splits into components.
-  counters.blocks_h = (classes.h_rows + classes.h_cols) > 0 ? 1 : 0;
-  counters.blocks_s = (classes.s_rows + classes.s_cols) > 0 ? 1 : 0;
-  counters.blocks_v = static_cast<std::int64_t>(classes.components.size());
-  counters.blocks_total =
-      counters.blocks_h + counters.blocks_s + counters.blocks_v;
-  const std::int64_t solvable = classes.aborted ? 0 : classes.solvable_blocks();
-  counters.blocks_frozen = counters.blocks_total - solvable;
-  counters.largest_block_edges = classes.largest_solvable_edges();
-  obs::emit_end(obs::names::kShardDecompose, counters.blocks_total,
-                solvable);
-
-  // Every matched pair lives in exactly one class/component, so the
-  // frozen tally is what the solvable components don't account for.
-  if (!classes.aborted) {
-    counters.frozen_matched =
-        initial_cardinality - classes.solvable_matched();
-  }
-
-  RunStats stats;
-  stats.algorithm = solver.display_name;
-  stats.threads_used = omp_get_max_threads();
-  stats.initial_cardinality = initial_cardinality;
-  stats.final_cardinality = initial_cardinality;
-
-  bool stitched_blocks = false;
-  if (classes.aborted ||
-      (solvable == 1 && counters.largest_block_edges * 2 > g.num_edges())) {
-    // One deficient block dominates the graph (the payoff gate tripped,
-    // or the finished census says so); extracting it would copy most of
-    // the CSR for no concurrency win. Solve monolithically from the
-    // initializer's matching instead.
-    counters.fallback = true;
-    const Timer solve_timer;
-    stats = solver.run(session, g, matching, config);
-    counters.solve_seconds = solve_timer.elapsed();
-  } else if (solvable == 0) {
-    // No component has a free vertex on both sides, so no augmenting
-    // path exists anywhere: the initializer's matching is maximum and
-    // there is nothing to solve.
-  } else {
-    const Timer extract_timer;
-    std::vector<shard::ShardBlock> blocks =
-        shard::extract_blocks(g, matching, classes);
-    counters.extract_seconds = extract_timer.elapsed();
-    counters.blocks_solved = static_cast<std::int64_t>(blocks.size());
-
-    const Timer solve_timer;
-    const int team = std::max(1, omp_get_max_threads());
-    const std::int64_t total_edges = classes.solvable_edges();
-    // A block holding more than a 1/team share of the deficient work
-    // would leave the pool imbalanced; give it the whole team instead.
-    std::vector<std::size_t> wide;
-    std::vector<std::size_t> pooled;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      const bool is_wide =
-          team == 1 || blocks[i].graph.num_edges() * team > total_edges;
-      (is_wide ? wide : pooled).push_back(i);
-    }
-
-    std::vector<std::int64_t> initial_block(blocks.size(), 0);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      initial_block[i] = blocks[i].initial.cardinality();
-    }
-
-    std::vector<Matching> solved(blocks.size());
-    for (const std::size_t i : wide) {
-      obs::emit_begin(obs::names::kShardBlock,
-                      static_cast<std::int64_t>(i),
-                      blocks[i].graph.num_edges());
-      Matching local = std::move(blocks[i].initial);
-      accumulate_block(stats,
-                       solver.run(session, blocks[i].graph, local, config));
-      solved[i] = std::move(local);
-      obs::emit_end(obs::names::kShardBlock, static_cast<std::int64_t>(i));
-    }
-    counters.solved_wide = static_cast<std::int64_t>(wide.size());
-
-    if (!pooled.empty()) {
-      // One-thread-per-block pool: each worker pins its OpenMP width to
-      // 1 (a per-thread ICV), so every region a nested solver opens is
-      // one wide -- which parallel_region supports from any number of
-      // host threads at once, TSan builds included.
-      std::atomic<std::size_t> cursor{0};
-      std::vector<RunStats> pooled_stats(pooled.size());
-      RunConfig pool_config = config;
-      pool_config.threads = 1;
-      const int pool_width = static_cast<int>(std::min<std::size_t>(
-          pooled.size(), static_cast<std::size_t>(team)));
-      parallel_region(pool_width, [&] {
-        const ThreadCountGuard pin(1);
-        for (;;) {
-          const std::size_t slot =
-              cursor.fetch_add(1, std::memory_order_relaxed);
-          if (slot >= pooled.size()) break;
-          const std::size_t i = pooled[slot];
-          obs::emit_begin(obs::names::kShardBlock,
-                          static_cast<std::int64_t>(i),
-                          blocks[i].graph.num_edges());
-          Matching local = std::move(blocks[i].initial);
-          pooled_stats[slot] =
-              solver.run(session, blocks[i].graph, local, pool_config);
-          solved[i] = std::move(local);
-          obs::emit_end(obs::names::kShardBlock,
-                        static_cast<std::int64_t>(i));
-        }
-      });
-      for (const RunStats& s : pooled_stats) accumulate_block(stats, s);
-      counters.solved_pooled = static_cast<std::int64_t>(pooled.size());
-    }
-    counters.solve_seconds = solve_timer.elapsed();
-
-    const Timer stitch_timer;
-    std::int64_t expected = initial_cardinality;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      expected += solved[i].cardinality() - initial_block[i];
-    }
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      shard::stitch_block(blocks[i], solved[i], matching);
-    }
-    counters.stitch_seconds = stitch_timer.elapsed();
-    const std::int64_t stitched = matching.cardinality();
-    obs::emit_instant(obs::names::kShardStitch, stitched);
-    if (stitched != expected) {
-      throw std::logic_error(
-          "run_sharded: stitched cardinality disagrees with the per-block "
-          "solves");
-    }
-    stats.final_cardinality = stitched;
-    stitched_blocks = true;
-  }
-
-  // Audit: whenever block solutions were stitched back, the result must
-  // be a valid matching of the whole graph (the no-op and monolithic
-  // paths never touch global ids, so the pass would only re-verify the
-  // solver). The Koenig maximality certificate -- itself a full graph
-  // traversal -- runs under the invariant-checking knob.
-  if ((stitched_blocks || config.check_invariants) &&
-      !is_valid_matching(g, matching)) {
-    throw std::logic_error("run_sharded: stitched result is not a valid "
-                           "matching");
-  }
-  if (config.check_invariants && !is_maximum_matching(g, matching)) {
-    throw std::logic_error("run_sharded: stitched matching failed the "
-                           "Koenig maximality audit");
-  }
-
-  stats.seconds = total_timer.elapsed();
-  stats.shard = counters;
-  return stats;
-}
-
-}  // namespace
-
-RunStats run_reduced(SessionContext& session,
-                     const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config) {
-  const SolverInfo& solver = find_solver(solver_name);
-  if (config.reduce == ReduceMode::kNone) {
-    matching = make_initial_matching(session, initializer_name, g, config);
-    return solver.run(session, g, matching, config);
-  }
-  return reduce_pipeline(
-      session, g, matching, config, "reduce+" + solver.name,
-      [&](const BipartiteGraph& solve_g, Matching& kernel_matching) {
-        kernel_matching =
-            make_initial_matching(session, initializer_name, solve_g, config);
-        return solver.run(session, solve_g, kernel_matching, config);
-      });
-}
-
-RunStats run_reduced(const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config) {
-  return run_reduced(ambient_session(), solver_name, initializer_name, g,
-                     matching, config);
-}
-
-RunStats run_sharded(SessionContext& session,
-                     const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config) {
-  if (config.shard == ShardMode::kNone) {
-    return run_reduced(session, solver_name, initializer_name, g, matching,
-                       config);
-  }
-  const SolverInfo& solver = find_solver(solver_name);
-  const auto sharded_solve = [&](const BipartiteGraph& solve_g,
-                                 Matching& solve_matching) {
-    return solve_sharded_graph(session, solver, initializer_name, solve_g,
-                               solve_matching, config);
-  };
-  if (config.reduce == ReduceMode::kNone) {
-    const SessionScope scope(session);
-    const ThreadCountGuard guard(config.threads);
-    const std::string trace_name = "shard+" + solver.name;
-    const bool owns_trace =
-        session.trace().begin_run(trace_name.c_str(), omp_get_max_threads());
-    RunStats stats = sharded_solve(g, matching);
-    if (owns_trace) distill_obs(session, stats);
-    return stats;
-  }
-  // Reduce first, shard the kernel: the decomposition then runs on the
-  // graph the solver actually sees.
-  return reduce_pipeline(session, g, matching, config,
-                         "reduce+shard+" + solver.name, sharded_solve);
-}
-
-RunStats run_sharded(const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config) {
-  return run_sharded(ambient_session(), solver_name, initializer_name, g,
-                     matching, config);
-}
-
-RunStats run(SessionContext& session, const std::string& solver_name,
+RunStats run(const std::string& solver_name,
              const std::string& initializer_name, const BipartiteGraph& g,
              Matching& matching, const RunConfig& config) {
-  return run_sharded(session, solver_name, initializer_name, g, matching,
-                     config);
-}
-
-RunStats run_batch(SessionContext& session, const std::string& solver_name,
-                   const std::string& initializer_name,
-                   const BipartiteGraph& g, Matching& matching,
-                   const RunConfig& config, std::size_t group_size) {
-  if (group_size == 0) {
-    throw std::invalid_argument("run_batch: group_size must be >= 1");
-  }
-  // One solve answers the whole group: the result of a maximum-matching
-  // run does not depend on how many identical requests are waiting on
-  // it, so the amortization is pure -- no per-member work exists.
-  return run_sharded(session, solver_name, initializer_name, g, matching,
-                     config);
+  return run(ambient_session(), solver_name, initializer_name, g, matching,
+             config);
 }
 
 }  // namespace graftmatch::engine

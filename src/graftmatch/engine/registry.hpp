@@ -106,76 +106,27 @@ Matching make_initial_matching(const std::string& name,
                                const BipartiteGraph& g,
                                const RunConfig& config);
 
-/// Composable end-to-end driver honoring RunConfig::reduce: run the
-/// kernelization pre-pass (src/graftmatch/reduce/), build the initial
-/// matching and solve on the kernel, then lift the kernel matching back
-/// to `g` via the reconstruction log. `matching` receives the final
-/// original-graph matching (its incoming value is ignored).
+/// The end-to-end entry point: build the initial matching with
+/// `initializer_name` and grow it to maximum with `solver_name`, under
+/// the full RunConfig surface (reduce, threads, invariant checks).
+/// `matching` receives the final original-graph matching (its incoming
+/// value is ignored). The serving layer, the dynamic matcher's
+/// re-solves and every driver route their runs through this.
 ///
-/// The returned stats describe the kernel solve (phases, edges,
-/// seconds) with cardinalities translated to original-graph terms and
-/// the pre-pass accounted in RunStats::reduce. With reduce == kNone
-/// this degenerates to make_initial_matching + solver (no copy, no
-/// reduce block), so drivers can route every run through it.
-RunStats run_reduced(SessionContext& session,
-                     const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config);
-/// Ambient-session convenience.
-RunStats run_reduced(const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config);
-
-/// Superset driver honoring RunConfig::shard on top of run_reduced:
-/// build the initial matching, classify the graph into independent
-/// Dulmage-Mendelsohn blocks (src/graftmatch/shard/), solve the
-/// deficient blocks -- large ones one at a time with the full thread
-/// team, small ones concurrently across a one-thread-per-block pool --
-/// and stitch the per-block results into `matching`, auditing validity
-/// and cardinality consistency (plus a Koenig maximality certificate
-/// under RunConfig::check_invariants). Composes with the reduce
-/// pre-pass: the kernel graph is what gets sharded. Falls back to the
-/// monolithic solver when one block dominates, and skips the solve
-/// entirely when the initializer already produced a maximum matching.
-///
-/// With shard == kNone this is exactly run_reduced (no decomposition,
-/// no shard block in the stats), so drivers can route every run
-/// through it. The returned stats aggregate the per-block solves and
-/// account the decompose/extract/solve/stitch pipeline in
-/// RunStats::shard.
-RunStats run_sharded(SessionContext& session,
-                     const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config);
-/// Ambient-session convenience.
-RunStats run_sharded(const std::string& solver_name,
-                     const std::string& initializer_name,
-                     const BipartiteGraph& g, Matching& matching,
-                     const RunConfig& config);
-
-/// The canonical end-to-end entry point: run_sharded under an explicit
-/// session (the full RunConfig surface -- reduce, shard, threads,
-/// invariant checks -- honored). The serving layer routes every request
-/// through this; one-shot drivers use the ambient conveniences above.
+/// With RunConfig::reduce set, the kernelization pre-pass
+/// (src/graftmatch/reduce/) runs first, the initializer and solver run
+/// on the kernel, and the kernel matching is lifted back to `g` via the
+/// reconstruction log. The returned stats then describe the kernel
+/// solve (phases, edges, seconds) with cardinalities translated to
+/// original-graph terms and the pre-pass accounted in RunStats::reduce.
+/// With reduce == kNone this is exactly make_initial_matching + solver
+/// (no copy, no reduce block).
 RunStats run(SessionContext& session, const std::string& solver_name,
              const std::string& initializer_name, const BipartiteGraph& g,
              Matching& matching, const RunConfig& config);
-
-/// Batch-aware entry: one solve that answers `group_size` coalesced
-/// identical requests. MS-BFS-Graft is natively multi-source, so the
-/// matching it produces for one request IS the answer for every request
-/// agreeing on (graph, solver, initializer, reduce, shard) -- the solve,
-/// its workspace lease, and its reduce/shard pre-passes are paid once
-/// and amortized across the group. Semantically identical to run();
-/// `group_size` exists so the engine layer owns the amortization
-/// contract (and its validation) rather than every caller asserting it.
-/// Throws std::invalid_argument when group_size == 0.
-RunStats run_batch(SessionContext& session, const std::string& solver_name,
-                   const std::string& initializer_name,
-                   const BipartiteGraph& g, Matching& matching,
-                   const RunConfig& config, std::size_t group_size);
+/// Ambient-session convenience.
+RunStats run(const std::string& solver_name,
+             const std::string& initializer_name, const BipartiteGraph& g,
+             Matching& matching, const RunConfig& config);
 
 }  // namespace graftmatch::engine

@@ -50,9 +50,6 @@
 // Kernelization pre-pass (reductions + reconstruction)
 #include "graftmatch/reduce/reduce.hpp"
 
-// Dulmage-Mendelsohn block sharding (classification + extraction)
-#include "graftmatch/shard/shard.hpp"
-
 // Incremental matching under edge churn
 #include "graftmatch/dynamic/dynamic_matcher.hpp"
 #include "graftmatch/dynamic/overlay.hpp"

@@ -123,15 +123,6 @@ inline constexpr EventName kReduceCompact{"reduce.compact", "kernel_edges",
                                           nullptr};
 inline constexpr EventName kReduceReconstruct{"reduce.reconstruct", "forced",
                                               nullptr};
-/// DM-sharded execution spans (src/graftmatch/shard/). Decomposition +
-/// block extraction (arg0 = blocks found, arg1 = blocks needing a
-/// solve), one span per solved block (arg0 = block index, arg1 = block
-/// edges), and the stitch + audit (arg0 = stitched cardinality).
-inline constexpr EventName kShardDecompose{"shard.decompose", "blocks",
-                                           "solvable"};
-inline constexpr EventName kShardBlock{"shard.block", "block", "edges"};
-inline constexpr EventName kShardStitch{"shard.stitch", "cardinality",
-                                        nullptr};
 /// Serving-layer spans (src/graftmatch/serve/): one span per request a
 /// server worker executes (arg0 = roster entry index, arg1 on the End
 /// event = matched cardinality).

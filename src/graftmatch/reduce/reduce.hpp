@@ -6,22 +6,13 @@
 //   * degree-0: an isolated vertex is in no matching; drop it.
 //   * degree-1 (pendant): if x has exactly one live neighbor y, some
 //     maximum matching contains (x, y); force the match and remove both.
-//   * degree-2 fold (optional, --reduce=d1d2): if x has exactly two live
-//     neighbors y1, y2, merge y1 and y2 into one vertex y' and delete x;
-//     nu(G) = nu(G') + 1, and any maximum matching of G' lifts back (if
-//     y' is matched to x', then x' is adjacent to y1 or y2 -- match it
-//     there and match x to the other; if y' is unmatched, match x to
-//     either).
-// Y vertices therefore live in CLASSES (merged sets); the kernel has
-// one Y vertex per live class. A reconstruction log records every
-// forced match and fold so that ANY maximum matching of the kernel maps
-// back to a maximum matching of the original graph (reverse replay; see
-// reconstruct_matching).
+// A reconstruction log records every forced match so that ANY maximum
+// matching of the kernel maps back to a maximum matching of the
+// original graph (see reconstruct_matching).
 //
-// Determinism: classification of candidates runs in parallel but is
-// read-only against round-start state; applications happen serially in
-// candidate order, so the kernel, the log, and every counter are
-// identical for every thread count.
+// Determinism: degree initialization runs in parallel, but every rule
+// application happens serially in candidate order, so the kernel, the
+// log, and every counter are identical for every thread count.
 #pragma once
 
 #include <cstdint>
@@ -34,25 +25,11 @@
 
 namespace graftmatch::reduce {
 
-/// One entry of the reconstruction log, recorded in application order.
+/// One entry of the reconstruction log: pendant x force-matched to its
+/// only live neighbor y (both original ids), in application order.
 struct Op {
-  enum class Kind : std::uint8_t {
-    kForced,  ///< pendant x force-matched to its only live Y class
-    kFold,    ///< degree-2 x removed, its two Y classes merged
-  };
-
-  Kind kind = Kind::kForced;
-  vid_t x = kInvalidVertex;  ///< original X vertex removed by this op
-  /// kForced: root of the Y class x was matched to.
-  /// kFold: root of the surviving (larger) class.
-  vid_t a = kInvalidVertex;
-  /// kFold only: root of the absorbed class.
-  vid_t b = kInvalidVertex;
-  /// kFold only: member count of the survivor before the merge. The
-  /// survivor's member list at fold time is its first `split` entries;
-  /// the absorbed class's members are appended after them, which is
-  /// exactly what reverse replay truncates to undo the merge.
-  std::int64_t split = 0;
+  vid_t x = kInvalidVertex;
+  vid_t y = kInvalidVertex;
 
   friend bool operator==(const Op&, const Op&) = default;
 };
@@ -65,7 +42,7 @@ struct Reduction {
   vid_t orig_ny = 0;
 
   /// True when the kernel IS the original graph: either no rule fired
-  /// (no op, no isolated X), or -- d1 only -- the rules removed less
+  /// (no op, no isolated X), or the rules removed less
   /// than 1/8 of both edges and vertices, in which case the log is
   /// discarded because the O(n + m) compaction would cost more than
   /// the slightly smaller kernel saves. `kernel`, the id maps, and
@@ -81,17 +58,11 @@ struct Reduction {
 
   /// kernel X id -> original X id (ascending in original id).
   std::vector<vid_t> kernel_x_to_orig;
-  /// kernel Y id -> root (original Y id) of the class it stands for.
-  std::vector<vid_t> kernel_y_to_rep;
+  /// kernel Y id -> original Y id (ascending in original id).
+  std::vector<vid_t> kernel_y_to_orig;
 
   /// Reconstruction log in application order.
   std::vector<Op> ops;
-
-  /// d1d2 only (empty otherwise): post-reduction member list of every
-  /// Y class, indexed by root. Every original Y id appears in exactly
-  /// one list; a class absorbed by a fold has an empty list (its
-  /// members sit in its survivor's suffix).
-  std::vector<std::vector<vid_t>> y_members;
 
   /// Counters for RunStats::reduce (reconstruct_seconds is stamped by
   /// the engine driver, everything else here).
@@ -99,7 +70,7 @@ struct Reduction {
 };
 
 /// Run the reduction pipeline for `mode` and compact the remainder into
-/// a fresh CSR kernel (renumbered, isolated Y classes dropped).
+/// a fresh CSR kernel (renumbered, isolated Y vertices dropped).
 /// kNone returns a verbatim copy with identity maps and an empty log.
 /// Emits obs spans (reduce, reduce.round, reduce.compact) when a trace
 /// run is active. Parallel phases honor the ambient OpenMP thread
@@ -114,10 +85,11 @@ inline const BipartiteGraph& solve_graph(const Reduction& reduction,
   return reduction.identity ? original : reduction.kernel;
 }
 
-/// Lift a matching of the kernel to a matching of the original graph by
-/// replaying the log in reverse. If `kernel_matching` is maximum on the
-/// kernel, the result is maximum on `original` (cardinality grows by
-/// exactly forced_matches + folds). Throws std::invalid_argument when
+/// Lift a matching of the kernel to a matching of the original graph:
+/// map kernel matches back through the id maps and add every logged
+/// forced match. If `kernel_matching` is maximum on the kernel, the
+/// result is maximum on `original` (cardinality grows by exactly
+/// forced_matches). Throws std::invalid_argument when
 /// the matching or graph dimensions do not match the reduction.
 Matching reconstruct_matching(const BipartiteGraph& original,
                               const Reduction& reduction,

@@ -97,8 +97,8 @@ inline std::atomic<std::uint64_t>& region_epoch() noexcept {
 /// skips the slot entirely (the encountering thread runs the body
 /// itself, so there is no frame handoff to hide) and is safe to enter
 /// from any number of host threads at once -- this is the serving
-/// layer's default shape (solver_threads = 1 per worker session) and
-/// what the shard/ block pool relies on. Wider regions serialize
+/// layer's default shape (solver_threads = 1 per worker session, each
+/// serve/ worker opening its own regions). Wider regions serialize
 /// concurrent openers of the SAME call site through a per-call-site
 /// mutex in TSan builds only, so two sessions may open wide regions
 /// concurrently without cross-publishing bodies; release builds take
@@ -166,8 +166,8 @@ inline void parallel_region(Fn&& fn) {
 /// in a thread_local nesting counter at construction and checks at
 /// destruction that it is the innermost active guard and that the
 /// value it applied is still in force. The OpenMP nthreads-var is a
-/// per-thread ICV, so guards on different host threads (the shard/
-/// block pool, serve/ workers) never interact.
+/// per-thread ICV, so guards on different host threads (serve/
+/// workers, concurrent sessions) never interact.
 class ThreadCountGuard {
  public:
   explicit ThreadCountGuard(int threads) noexcept

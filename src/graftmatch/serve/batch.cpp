@@ -6,8 +6,7 @@ namespace graftmatch::serve {
 
 BatchKey batch_key(const MatchRequest& request) {
   return BatchKey{request.graph,  request.solver, request.initializer,
-                  request.reduce, request.shard,  request.dirsel,
-                  request.kernel};
+                  request.reduce, request.dirsel, request.kernel};
 }
 
 bool BatchScheduler::next_batch(std::vector<ServerTask>& out) {

@@ -10,11 +10,10 @@
 // are skipped, missing keys keep their defaults).
 //
 // String hygiene: request string fields (graph, solver, init, reduce,
-// shard, dirsel, kernel) are lookup keys, so control characters in
-// them are REJECTED at
-// both encode time (std::invalid_argument) and decode time (error
-// return) rather than silently rewritten -- a graph named "a\nb" must
-// fail loudly, not be looked up as "a b" and misreported as unknown
+// dirsel, kernel) are lookup keys, so control characters in them are
+// REJECTED at both encode time (std::invalid_argument) and decode time
+// (error return) rather than silently rewritten -- a graph named "a\nb"
+// must fail loudly, not be looked up as "a b" and misreported as unknown
 // under the mangled name. Response-side free text (the error message)
 // is server-generated diagnostics; there newlines/CRs are replaced with
 // spaces so a multi-line exception message cannot corrupt the framing.
@@ -46,7 +45,6 @@ struct MatchRequest {
   /// server's configured per-request default.
   int threads = 0;
   std::string reduce = "none";  ///< ReduceMode key (run_stats.hpp)
-  std::string shard = "none";   ///< ShardMode key
   std::string dirsel = "fixed";  ///< DirectionPolicy key
   std::string kernel = "bit";    ///< BottomUpKernel key
   /// Relative deadline in milliseconds from admission; <= 0 = none.

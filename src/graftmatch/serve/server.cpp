@@ -226,10 +226,6 @@ MatchResponse MatchServer::handle(SessionContext& session,
     response.error = "unknown reduce mode \"" + request.reduce + "\"";
     return response;
   }
-  if (!parse_shard_mode(request.shard, config.shard)) {
-    response.error = "unknown shard mode \"" + request.shard + "\"";
-    return response;
-  }
   if (!parse_direction_policy(request.dirsel, config.direction_policy)) {
     response.error = "unknown dirsel policy \"" + request.dirsel + "\"";
     return response;
@@ -248,9 +244,11 @@ MatchResponse MatchServer::handle(SessionContext& session,
   const std::int64_t span_start = obs::timestamp();
 
   Matching matching;
-  const RunStats stats =
-      engine::run_batch(session, request.solver, request.initializer,
-                        entry->graph, matching, config, group_size);
+  // One solve answers the whole group: the result of a maximum-matching
+  // run does not depend on how many identical requests wait on it.
+  const RunStats stats = engine::run(session, request.solver,
+                                     request.initializer, entry->graph,
+                                     matching, config);
 
   obs::emit_complete(obs::names::kServeBatch, span_start,
                      static_cast<std::int64_t>(group_size),

@@ -9,10 +9,10 @@
 //
 // Batching is the throughput lever: MS-BFS-Graft is natively
 // multi-source, so concurrent requests agreeing on (graph, solver,
-// initializer, reduce, shard) are coalesced by the BatchScheduler
-// (serve/batch.hpp) into ONE engine::run_batch per group within a
-// bounded window, and the single result is fanned back out to every
-// member's promise. batch_max = 1 restores the one-solve-per-request
+// initializer, reduce, dirsel, kernel) are coalesced by the
+// BatchScheduler (serve/batch.hpp) into ONE engine::run per group
+// within a bounded window, and the single result is fanned back out to
+// every member's promise. batch_max = 1 restores the one-solve-per-request
 // behavior.
 //
 // Deadlines are enforced twice. At admission, a request whose

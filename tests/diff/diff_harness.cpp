@@ -294,24 +294,25 @@ std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
                       }});
   }
 
-  // Every registered solver again, but through the DM-sharded driver:
-  // classify, solve blocks independently, stitch. The oracle catches
-  // any cardinality lost to misclassified components or a bad stitch --
-  // on block-poor corpus instances this also exercises the payoff-gate
-  // fallback path, which must be byte-for-byte a monolithic run.
+  // Every registered solver again, but through the engine driver with
+  // the degree-1 pre-pass: reduce, initialize on the kernel, solve, and
+  // lift back to the original graph. The oracle catches any cardinality
+  // lost to a bad kernel, a wrong reconstruction, or stats/matching
+  // drift in the driver -- on instances the payoff gate declines this
+  // also exercises the identity-reduction path.
   for (const auto& solver : engine::solver_registry()) {
     const std::string solver_name = solver.name;
     const int threads = solver.parallel ? max_threads : 0;
-    roster.push_back({"shard-dm+" + solver_name + "[t=" +
+    roster.push_back({"engine+d1+" + solver_name + "[t=" +
                           std::to_string(threads) + ",init=ks]",
                       [=](const BipartiteGraph& g) {
                         RunConfig config;
                         config.threads = threads;
                         config.seed = 7;
-                        config.shard = ShardMode::kDm;
+                        config.reduce = ReduceMode::kDegree1;
                         config.check_invariants = true;
                         Matching m;
-                        engine::run_sharded(solver_name, "ks", g, m, config);
+                        engine::run(solver_name, "ks", g, m, config);
                         return m;
                       }});
   }

@@ -172,7 +172,7 @@ TEST(SessionStress, BoundAndUnboundThreadsCoexist) {
         config.threads = random_width(rng);
         Matching m(unbound_graph.num_x(), unbound_graph.num_y());
         const RunStats stats =
-            engine::run_sharded("pf", "greedy", unbound_graph, m, config);
+            engine::run("pf", "greedy", unbound_graph, m, config);
         if (stats.final_cardinality != unbound_oracle) wrong.fetch_add(1);
       }
     });
@@ -202,7 +202,6 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
 
   const char* const solvers[] = {"graft", "pf", "hk"};
   const char* const reduces[] = {"none", "d1"};
-  const char* const shards[] = {"none", "dm"};
 
   constexpr int kClients = 6;
   constexpr int kRequestsPerClient = 8;
@@ -223,7 +222,6 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
           request.graph = entry.name;
           request.solver = solvers[rng.below(3)];
           request.reduce = reduces[rng.below(2)];
-          request.shard = shards[rng.below(2)];
           request.threads = 1 + static_cast<int>(rng.below(2));
           // A third of the well-formed requests carry a deadline far
           // beyond any plausible backlog: the deadline bookkeeping runs

@@ -190,7 +190,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExhaustiveDm, ::testing::Values(5, 6, 7, 8));
 // ---- kernelization on EVERY bipartite graph up to 4+4 vertices.
 //
 // Complete enumeration (one graph per edge-subset bitmask, ~75k graphs
-// across the 16 (nx, ny) cells, sharded one cell per test): reduce with
+// across the 16 (nx, ny) cells, split one cell per test): reduce with
 // the degree-1 pipeline, run every registry solver on the kernel,
 // reconstruct, and require the unreduced matching number from the Kuhn
 // reference. This hits every degenerate shape the reduction rules can
@@ -246,14 +246,13 @@ TEST_P(ExhaustiveReduce, EveryGraphEverySolverMatchesUnreduced) {
     }
 
     // End-to-end through the engine driver on a rotating solver, so the
-    // run_reduced wiring (init on kernel, stats translation) sees the
+    // engine::run wiring (init on kernel, stats translation) sees the
     // same complete graph population without multiplying the runtime.
     const engine::SolverInfo& solver = solvers[index % solvers.size()];
     RunConfig config;
     config.reduce = ReduceMode::kDegree1;
     Matching m;
-    const RunStats stats =
-        engine::run_reduced(solver.name, "none", g, m, config);
+    const RunStats stats = engine::run(solver.name, "none", g, m, config);
     ASSERT_EQ(m.cardinality(), nu)
         << solver.name << " nx=" << nx << " ny=" << ny << " mask=" << mask;
     ASSERT_EQ(stats.final_cardinality, nu) << solver.name;

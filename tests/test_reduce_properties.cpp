@@ -4,8 +4,8 @@
 // The load-bearing properties, each checked against independent
 // oracles (Hopcroft-Karp for nu, the Koenig certificate for
 // maximality, validate_matching for well-formedness):
-//   1. nu(kernel) + forced + folds == nu(original) for every mode, on
-//      the whole differential corpus and on fresh random draws.
+//   1. nu(kernel) + forced == nu(original), on the whole differential
+//      corpus and on fresh random draws.
 //   2. reconstruct_matching of a maximum kernel matching is a valid,
 //      MAXIMUM matching of the original graph.
 //   3. reduce -> compact -> reduce is idempotent: a second pass finds
@@ -13,8 +13,8 @@
 //   4. The pipeline is deterministic in the thread count: kernel, log,
 //      and counters are bit-identical serial vs. parallel.
 // Plus exact-counter checks on hand-built shapes (pendant cascades,
-// degree-2 folds, degenerate graphs) and an end-to-end sweep through
-// engine::run_reduced over every registry solver.
+// irreducible cycles, degenerate graphs) and an end-to-end sweep
+// through engine::run over every registry solver.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +29,8 @@
 namespace {
 
 using namespace graftmatch;  // NOLINT
+
+constexpr ReduceMode kMode = ReduceMode::kDegree1;
 
 // Debug + TSan is an order of magnitude slower; thin dense sweeps so
 // the stress tier stays in budget while every property still runs.
@@ -51,18 +53,12 @@ std::int64_t oracle_nu(const diff::Instance& inst) {
   return maximum_matching_cardinality(inst.graph);
 }
 
-std::int64_t lifted(const reduce::Reduction& red) {
-  return red.stats.forced_matches + red.stats.folds;
-}
-
 /// Maximum matching of `g` via the Hopcroft-Karp oracle.
 Matching solve_maximum(const BipartiteGraph& g) {
   Matching m(g.num_x(), g.num_y());
   hopcroft_karp(g, m);
   return m;
 }
-
-const ReduceMode kModes[] = {ReduceMode::kDegree1, ReduceMode::kDegree12};
 
 BipartiteGraph random_graph(Xoshiro256& rng) {
   const vid_t nx = 1 + static_cast<vid_t>(rng() % 40);
@@ -85,13 +81,11 @@ TEST(ReduceProperties, KernelNuPlusLiftedEqualsOriginalNuOnCorpus) {
   for (std::size_t i = 0; i < corpus().size(); i += kCorpusStride) {
     const diff::Instance& inst = corpus()[i];
     const std::int64_t nu = oracle_nu(inst);
-    for (const ReduceMode mode : kModes) {
-      const reduce::Reduction red = reduce::reduce_graph(inst.graph, mode);
-      const std::int64_t kernel_nu =
-          maximum_matching_cardinality(reduce::solve_graph(red, inst.graph));
-      EXPECT_EQ(kernel_nu + lifted(red), nu)
-          << inst.name << " " << reduce::debug_summary(red);
-    }
+    const reduce::Reduction red = reduce::reduce_graph(inst.graph, kMode);
+    const std::int64_t kernel_nu =
+        maximum_matching_cardinality(reduce::solve_graph(red, inst.graph));
+    EXPECT_EQ(kernel_nu + red.stats.forced_matches, nu)
+        << inst.name << " " << reduce::debug_summary(red);
   }
 }
 
@@ -99,73 +93,65 @@ TEST(ReduceProperties, ReconstructionIsValidAndMaximumOnCorpus) {
   for (std::size_t i = 0; i < corpus().size(); i += kCorpusStride) {
     const diff::Instance& inst = corpus()[i];
     const std::int64_t nu = oracle_nu(inst);
-    for (const ReduceMode mode : kModes) {
-      const reduce::Reduction red = reduce::reduce_graph(inst.graph, mode);
-      const Matching kernel_matching =
-          solve_maximum(reduce::solve_graph(red, inst.graph));
-      const Matching m =
-          reduce::reconstruct_matching(inst.graph, red, kernel_matching);
-      EXPECT_EQ(validate_matching(inst.graph, m), "")
-          << inst.name << " " << reduce::debug_summary(red);
-      EXPECT_TRUE(is_maximum_matching(inst.graph, m))
-          << inst.name << " " << reduce::debug_summary(red);
-      EXPECT_EQ(m.cardinality(), nu)
-          << inst.name << " " << reduce::debug_summary(red);
-    }
+    const reduce::Reduction red = reduce::reduce_graph(inst.graph, kMode);
+    const Matching kernel_matching =
+        solve_maximum(reduce::solve_graph(red, inst.graph));
+    const Matching m =
+        reduce::reconstruct_matching(inst.graph, red, kernel_matching);
+    EXPECT_EQ(validate_matching(inst.graph, m), "")
+        << inst.name << " " << reduce::debug_summary(red);
+    EXPECT_TRUE(is_maximum_matching(inst.graph, m))
+        << inst.name << " " << reduce::debug_summary(red);
+    EXPECT_EQ(m.cardinality(), nu)
+        << inst.name << " " << reduce::debug_summary(red);
   }
 }
 
 TEST(ReduceProperties, ReduceCompactReduceIsIdempotent) {
   for (std::size_t i = 0; i < corpus().size(); i += kCorpusStride) {
     const diff::Instance& inst = corpus()[i];
-    for (const ReduceMode mode : kModes) {
-      const reduce::Reduction first = reduce::reduce_graph(inst.graph, mode);
-      const BipartiteGraph& k1 = reduce::solve_graph(first, inst.graph);
-      const reduce::Reduction second = reduce::reduce_graph(k1, mode);
-      EXPECT_EQ(second.stats.forced_matches, 0)
-          << inst.name << " " << reduce::debug_summary(second);
-      EXPECT_EQ(second.stats.folds, 0) << inst.name;
-      EXPECT_EQ(second.stats.isolated_x, 0) << inst.name;
-      EXPECT_EQ(second.stats.isolated_y, 0) << inst.name;
-      EXPECT_TRUE(second.ops.empty()) << inst.name;
-      // A second pass never finds anything, so it is always identity.
-      EXPECT_TRUE(second.identity) << inst.name;
-      const BipartiteGraph& k2 = reduce::solve_graph(second, k1);
-      EXPECT_EQ(k2.num_x(), k1.num_x()) << inst.name;
-      EXPECT_EQ(k2.num_y(), k1.num_y()) << inst.name;
-      EXPECT_EQ(k2.num_edges(), k1.num_edges()) << inst.name;
-    }
+    const reduce::Reduction first = reduce::reduce_graph(inst.graph, kMode);
+    const BipartiteGraph& k1 = reduce::solve_graph(first, inst.graph);
+    const reduce::Reduction second = reduce::reduce_graph(k1, kMode);
+    EXPECT_EQ(second.stats.forced_matches, 0)
+        << inst.name << " " << reduce::debug_summary(second);
+    EXPECT_EQ(second.stats.isolated_x, 0) << inst.name;
+    EXPECT_EQ(second.stats.isolated_y, 0) << inst.name;
+    EXPECT_TRUE(second.ops.empty()) << inst.name;
+    // A second pass never finds anything, so it is always identity.
+    EXPECT_TRUE(second.identity) << inst.name;
+    const BipartiteGraph& k2 = reduce::solve_graph(second, k1);
+    EXPECT_EQ(k2.num_x(), k1.num_x()) << inst.name;
+    EXPECT_EQ(k2.num_y(), k1.num_y()) << inst.name;
+    EXPECT_EQ(k2.num_edges(), k1.num_edges()) << inst.name;
   }
 }
 
 TEST(ReduceProperties, DeterministicAcrossThreadCounts) {
   // Sparse enough to reduce heavily, big enough (> 4096 edges) that the
-  // classification and compaction phases actually open parallel regions.
+  // degree and compaction phases actually open parallel regions.
   const BipartiteGraph g = generate_erdos_renyi(
       {.nx = 4000, .ny = 4000, .edges = 9000, .seed = 17});
   ASSERT_GT(g.num_edges(), 4096);
-  for (const ReduceMode mode : kModes) {
-    reduce::Reduction serial;
-    {
-      const ThreadCountGuard guard(1);
-      serial = reduce::reduce_graph(g, mode);
-    }
-    const reduce::Reduction parallel = reduce::reduce_graph(g, mode);
-    EXPECT_EQ(serial.ops, parallel.ops);
-    EXPECT_EQ(serial.kernel_x_to_orig, parallel.kernel_x_to_orig);
-    EXPECT_EQ(serial.kernel_y_to_rep, parallel.kernel_y_to_rep);
-    EXPECT_EQ(serial.stats.rounds, parallel.stats.rounds);
-    EXPECT_EQ(serial.stats.isolated_x, parallel.stats.isolated_x);
-    EXPECT_EQ(serial.stats.isolated_y, parallel.stats.isolated_y);
-    EXPECT_EQ(serial.stats.forced_matches, parallel.stats.forced_matches);
-    EXPECT_EQ(serial.stats.folds, parallel.stats.folds);
-    EXPECT_EQ(serial.identity, parallel.identity);
-    const EdgeList a = reduce::solve_graph(serial, g).to_edges();
-    const EdgeList b = reduce::solve_graph(parallel, g).to_edges();
-    EXPECT_EQ(a.nx, b.nx);
-    EXPECT_EQ(a.ny, b.ny);
-    EXPECT_EQ(a.edges, b.edges);
+  reduce::Reduction serial;
+  {
+    const ThreadCountGuard guard(1);
+    serial = reduce::reduce_graph(g, kMode);
   }
+  const reduce::Reduction parallel = reduce::reduce_graph(g, kMode);
+  EXPECT_EQ(serial.ops, parallel.ops);
+  EXPECT_EQ(serial.kernel_x_to_orig, parallel.kernel_x_to_orig);
+  EXPECT_EQ(serial.kernel_y_to_orig, parallel.kernel_y_to_orig);
+  EXPECT_EQ(serial.stats.rounds, parallel.stats.rounds);
+  EXPECT_EQ(serial.stats.isolated_x, parallel.stats.isolated_x);
+  EXPECT_EQ(serial.stats.isolated_y, parallel.stats.isolated_y);
+  EXPECT_EQ(serial.stats.forced_matches, parallel.stats.forced_matches);
+  EXPECT_EQ(serial.identity, parallel.identity);
+  const EdgeList a = reduce::solve_graph(serial, g).to_edges();
+  const EdgeList b = reduce::solve_graph(parallel, g).to_edges();
+  EXPECT_EQ(a.nx, b.nx);
+  EXPECT_EQ(a.ny, b.ny);
+  EXPECT_EQ(a.edges, b.edges);
 }
 
 TEST(ReduceProperties, PendantCascadeOnPath) {
@@ -191,83 +177,73 @@ TEST(ReduceProperties, PendantCascadeOnPath) {
   EXPECT_EQ(m.cardinality(), 3);
 }
 
-TEST(ReduceProperties, DegreeTwoFoldOnCycle) {
-  // C4: x0,x1 each adjacent to y0,y1; nu = 2. d1 finds nothing; d1d2
-  // folds one x (merging y0,y1) and then force-matches the other.
+TEST(ReduceProperties, CycleIsIrreducible) {
+  // C4: x0,x1 each adjacent to y0,y1; nu = 2. Every X has degree 2, so
+  // the degree-1 rules find nothing and the reduction is the identity.
   EdgeList list;
   list.nx = 2;
   list.ny = 2;
   list.edges = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const BipartiteGraph g = BipartiteGraph::from_edges(list);
 
-  const reduce::Reduction d1 = reduce::reduce_graph(g, ReduceMode::kDegree1);
-  EXPECT_TRUE(d1.identity) << reduce::debug_summary(d1);
-  EXPECT_EQ(reduce::solve_graph(d1, g).num_edges(), g.num_edges());
-  EXPECT_TRUE(d1.ops.empty());
+  const reduce::Reduction red = reduce::reduce_graph(g, ReduceMode::kDegree1);
+  EXPECT_TRUE(red.identity) << reduce::debug_summary(red);
+  EXPECT_EQ(reduce::solve_graph(red, g).num_edges(), g.num_edges());
+  EXPECT_TRUE(red.ops.empty());
 
-  const reduce::Reduction d2 = reduce::reduce_graph(g, ReduceMode::kDegree12);
-  EXPECT_EQ(d2.stats.folds, 1) << reduce::debug_summary(d2);
-  EXPECT_EQ(d2.stats.forced_matches, 1);
-  EXPECT_EQ(d2.kernel.num_x(), 0);
-  EXPECT_EQ(d2.kernel.num_y(), 0);
-
-  const Matching m = reduce::reconstruct_matching(
-      g, d2, Matching(d2.kernel.num_x(), d2.kernel.num_y()));
-  EXPECT_EQ(validate_matching(g, m), "");
+  const Matching m = reduce::reconstruct_matching(g, red, solve_maximum(g));
   EXPECT_TRUE(is_maximum_matching(g, m));
   EXPECT_EQ(m.cardinality(), 2);
 }
 
 TEST(ReduceProperties, DegenerateGraphs) {
-  for (const ReduceMode mode : kModes) {
-    // Completely empty.
-    const BipartiteGraph empty = BipartiteGraph::from_edges({0, 0, {}});
-    const reduce::Reduction r0 = reduce::reduce_graph(empty, mode);
-    EXPECT_EQ(r0.kernel.num_vertices(), 0);
-    EXPECT_TRUE(
-        is_maximum_matching(empty, reduce::reconstruct_matching(
-                                       empty, r0, Matching(0, 0))));
+  // Completely empty.
+  const BipartiteGraph empty = BipartiteGraph::from_edges({0, 0, {}});
+  const reduce::Reduction r0 = reduce::reduce_graph(empty, kMode);
+  EXPECT_EQ(r0.kernel.num_vertices(), 0);
+  EXPECT_TRUE(
+      is_maximum_matching(empty, reduce::reconstruct_matching(
+                                     empty, r0, Matching(0, 0))));
 
-    // Edgeless parts: everything is isolated.
-    const BipartiteGraph edgeless = BipartiteGraph::from_edges({3, 5, {}});
-    const reduce::Reduction r1 = reduce::reduce_graph(edgeless, mode);
-    EXPECT_EQ(r1.kernel.num_vertices(), 0) << reduce::debug_summary(r1);
-    EXPECT_EQ(r1.stats.isolated_x, 3);
-    EXPECT_EQ(r1.stats.isolated_y, 5);
-    const Matching m1 = reduce::reconstruct_matching(
-        edgeless, r1, Matching(0, 0));
-    EXPECT_TRUE(is_maximum_matching(edgeless, m1));
+  // Edgeless parts: everything is isolated.
+  const BipartiteGraph edgeless = BipartiteGraph::from_edges({3, 5, {}});
+  const reduce::Reduction r1 = reduce::reduce_graph(edgeless, kMode);
+  EXPECT_EQ(r1.kernel.num_vertices(), 0) << reduce::debug_summary(r1);
+  EXPECT_EQ(r1.stats.isolated_x, 3);
+  EXPECT_EQ(r1.stats.isolated_y, 5);
+  const Matching m1 = reduce::reconstruct_matching(
+      edgeless, r1, Matching(0, 0));
+  EXPECT_TRUE(is_maximum_matching(edgeless, m1));
 
-    // Star: one Y, many pendant X. One forced match, the rest isolated.
-    EdgeList star;
-    star.nx = 4;
-    star.ny = 1;
-    star.edges = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-    const BipartiteGraph gs = BipartiteGraph::from_edges(star);
-    const reduce::Reduction r2 = reduce::reduce_graph(gs, mode);
-    EXPECT_EQ(r2.stats.forced_matches, 1) << reduce::debug_summary(r2);
-    EXPECT_EQ(r2.stats.isolated_x, 3);
-    EXPECT_EQ(r2.kernel.num_vertices(), 0);
-    const Matching m2 = reduce::reconstruct_matching(gs, r2, Matching(0, 0));
-    EXPECT_TRUE(is_maximum_matching(gs, m2));
-    EXPECT_EQ(m2.cardinality(), 1);
+  // Star: one Y, many pendant X. One forced match, the rest isolated.
+  EdgeList star;
+  star.nx = 4;
+  star.ny = 1;
+  star.edges = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
+  const BipartiteGraph gs = BipartiteGraph::from_edges(star);
+  const reduce::Reduction r2 = reduce::reduce_graph(gs, kMode);
+  EXPECT_EQ(r2.stats.forced_matches, 1) << reduce::debug_summary(r2);
+  EXPECT_EQ(r2.stats.isolated_x, 3);
+  EXPECT_EQ(r2.kernel.num_vertices(), 0);
+  const Matching m2 = reduce::reconstruct_matching(gs, r2, Matching(0, 0));
+  EXPECT_TRUE(is_maximum_matching(gs, m2));
+  EXPECT_EQ(m2.cardinality(), 1);
 
-    // K3,3: every X has degree 3; nothing reduces in either mode.
-    EdgeList k33;
-    k33.nx = 3;
-    k33.ny = 3;
-    for (vid_t x = 0; x < 3; ++x) {
-      for (vid_t y = 0; y < 3; ++y) k33.edges.push_back({x, y});
-    }
-    const BipartiteGraph gk = BipartiteGraph::from_edges(k33);
-    const reduce::Reduction r3 = reduce::reduce_graph(gk, mode);
-    EXPECT_TRUE(r3.ops.empty()) << reduce::debug_summary(r3);
-    EXPECT_TRUE(r3.identity);
-    EXPECT_EQ(reduce::solve_graph(r3, gk).num_edges(), 9);
-    // Identity means no rebuilt kernel at all: the empty member proves
-    // the no-copy fast path actually ran.
-    EXPECT_EQ(r3.kernel.num_edges(), 0);
+  // K3,3: every X has degree 3; nothing reduces.
+  EdgeList k33;
+  k33.nx = 3;
+  k33.ny = 3;
+  for (vid_t x = 0; x < 3; ++x) {
+    for (vid_t y = 0; y < 3; ++y) k33.edges.push_back({x, y});
   }
+  const BipartiteGraph gk = BipartiteGraph::from_edges(k33);
+  const reduce::Reduction r3 = reduce::reduce_graph(gk, kMode);
+  EXPECT_TRUE(r3.ops.empty()) << reduce::debug_summary(r3);
+  EXPECT_TRUE(r3.identity);
+  EXPECT_EQ(reduce::solve_graph(r3, gk).num_edges(), 9);
+  // Identity means no rebuilt kernel at all: the empty member proves
+  // the no-copy fast path actually ran.
+  EXPECT_EQ(r3.kernel.num_edges(), 0);
 }
 
 TEST(ReduceProperties, ModeNoneIsVerbatim) {
@@ -287,38 +263,35 @@ TEST(ReduceProperties, ModeNoneIsVerbatim) {
 TEST(ReduceProperties, CountersAreConsistent) {
   for (std::size_t i = 0; i < corpus().size(); i += kCorpusStride) {
     const diff::Instance& inst = corpus()[i];
-    for (const ReduceMode mode : kModes) {
-      const reduce::Reduction red = reduce::reduce_graph(inst.graph, mode);
-      const BipartiteGraph& kernel = reduce::solve_graph(red, inst.graph);
-      const ReduceCounters& s = red.stats;
-      EXPECT_TRUE(s.collected);
-      EXPECT_EQ(s.mode, mode);
-      EXPECT_EQ(s.kernel_nx, kernel.num_x());
-      EXPECT_EQ(s.kernel_ny, kernel.num_y());
-      EXPECT_EQ(s.kernel_edges, kernel.num_edges());
-      if (red.identity) {
-        // Identity skips the rebuild; maps stay empty and nothing was
-        // removed.
-        EXPECT_TRUE(red.kernel_x_to_orig.empty());
-        EXPECT_TRUE(red.kernel_y_to_rep.empty());
-        EXPECT_EQ(s.vertices_removed, 0);
-        EXPECT_EQ(s.edges_removed, 0);
-      } else {
-        EXPECT_GE(s.rounds, 1);
-        EXPECT_EQ(static_cast<std::int64_t>(red.kernel_x_to_orig.size()),
-                  s.kernel_nx);
-        EXPECT_EQ(static_cast<std::int64_t>(red.kernel_y_to_rep.size()),
-                  s.kernel_ny);
-      }
-      EXPECT_EQ(s.vertices_removed,
-                (inst.graph.num_x() - s.kernel_nx) +
-                    (inst.graph.num_y() - s.kernel_ny));
-      EXPECT_EQ(s.edges_removed, inst.graph.num_edges() - s.kernel_edges);
-      EXPECT_EQ(static_cast<std::int64_t>(red.ops.size()),
-                s.forced_matches + s.folds);
-      EXPECT_GE(s.reduce_seconds, 0.0);
-      EXPECT_GE(s.compact_seconds, 0.0);
+    const reduce::Reduction red = reduce::reduce_graph(inst.graph, kMode);
+    const BipartiteGraph& kernel = reduce::solve_graph(red, inst.graph);
+    const ReduceCounters& s = red.stats;
+    EXPECT_TRUE(s.collected);
+    EXPECT_EQ(s.mode, kMode);
+    EXPECT_EQ(s.kernel_nx, kernel.num_x());
+    EXPECT_EQ(s.kernel_ny, kernel.num_y());
+    EXPECT_EQ(s.kernel_edges, kernel.num_edges());
+    if (red.identity) {
+      // Identity skips the rebuild; maps stay empty and nothing was
+      // removed.
+      EXPECT_TRUE(red.kernel_x_to_orig.empty());
+      EXPECT_TRUE(red.kernel_y_to_orig.empty());
+      EXPECT_EQ(s.vertices_removed, 0);
+      EXPECT_EQ(s.edges_removed, 0);
+    } else {
+      EXPECT_GE(s.rounds, 1);
+      EXPECT_EQ(static_cast<std::int64_t>(red.kernel_x_to_orig.size()),
+                s.kernel_nx);
+      EXPECT_EQ(static_cast<std::int64_t>(red.kernel_y_to_orig.size()),
+                s.kernel_ny);
     }
+    EXPECT_EQ(s.vertices_removed,
+              (inst.graph.num_x() - s.kernel_nx) +
+                  (inst.graph.num_y() - s.kernel_ny));
+    EXPECT_EQ(s.edges_removed, inst.graph.num_edges() - s.kernel_edges);
+    EXPECT_EQ(static_cast<std::int64_t>(red.ops.size()), s.forced_matches);
+    EXPECT_GE(s.reduce_seconds, 0.0);
+    EXPECT_GE(s.compact_seconds, 0.0);
   }
 }
 
@@ -327,19 +300,18 @@ TEST(ReduceProperties, RandomSweepNuAndReconstruction) {
   for (int draw = 0; draw < kRandomDraws; ++draw) {
     const BipartiteGraph g = random_graph(rng);
     const std::int64_t nu = maximum_matching_cardinality(g);
-    for (const ReduceMode mode : kModes) {
-      const reduce::Reduction red = reduce::reduce_graph(g, mode);
-      const BipartiteGraph& kernel = reduce::solve_graph(red, g);
-      EXPECT_EQ(maximum_matching_cardinality(kernel) + lifted(red), nu)
-          << "draw " << draw << " " << reduce::debug_summary(red);
-      const Matching m = reduce::reconstruct_matching(
-          g, red, solve_maximum(kernel));
-      EXPECT_EQ(validate_matching(g, m), "")
-          << "draw " << draw << " " << reduce::debug_summary(red);
-      EXPECT_TRUE(is_maximum_matching(g, m))
-          << "draw " << draw << " " << reduce::debug_summary(red);
-      EXPECT_EQ(m.cardinality(), nu) << "draw " << draw;
-    }
+    const reduce::Reduction red = reduce::reduce_graph(g, kMode);
+    const BipartiteGraph& kernel = reduce::solve_graph(red, g);
+    EXPECT_EQ(maximum_matching_cardinality(kernel) + red.stats.forced_matches,
+              nu)
+        << "draw " << draw << " " << reduce::debug_summary(red);
+    const Matching m = reduce::reconstruct_matching(
+        g, red, solve_maximum(kernel));
+    EXPECT_EQ(validate_matching(g, m), "")
+        << "draw " << draw << " " << reduce::debug_summary(red);
+    EXPECT_TRUE(is_maximum_matching(g, m))
+        << "draw " << draw << " " << reduce::debug_summary(red);
+    EXPECT_EQ(m.cardinality(), nu) << "draw " << draw;
   }
 }
 
@@ -350,22 +322,19 @@ TEST(ReduceProperties, RunReducedMatchesOracleForEverySolver) {
     const diff::Instance& inst = corpus()[i];
     const std::int64_t nu = oracle_nu(inst);
     for (const std::string& solver : engine::solver_names()) {
-      for (const ReduceMode mode : kModes) {
-        RunConfig config;
-        config.reduce = mode;
-        Matching m;
-        const RunStats stats =
-            engine::run_reduced(solver, "none", inst.graph, m, config);
-        EXPECT_EQ(validate_matching(inst.graph, m), "")
-            << inst.name << " " << solver << " " << to_string(mode);
-        EXPECT_TRUE(is_maximum_matching(inst.graph, m))
-            << inst.name << " " << solver << " " << to_string(mode);
-        EXPECT_EQ(m.cardinality(), nu) << inst.name << " " << solver;
-        EXPECT_EQ(stats.final_cardinality, nu) << inst.name << " " << solver;
-        EXPECT_TRUE(stats.reduce.collected);
-        EXPECT_EQ(stats.reduce.mode, mode);
-        EXPECT_LE(stats.initial_cardinality, stats.final_cardinality);
-      }
+      RunConfig config;
+      config.reduce = kMode;
+      Matching m;
+      const RunStats stats = engine::run(solver, "none", inst.graph, m, config);
+      EXPECT_EQ(validate_matching(inst.graph, m), "")
+          << inst.name << " " << solver << " " << to_string(kMode);
+      EXPECT_TRUE(is_maximum_matching(inst.graph, m))
+          << inst.name << " " << solver << " " << to_string(kMode);
+      EXPECT_EQ(m.cardinality(), nu) << inst.name << " " << solver;
+      EXPECT_EQ(stats.final_cardinality, nu) << inst.name << " " << solver;
+      EXPECT_TRUE(stats.reduce.collected);
+      EXPECT_EQ(stats.reduce.mode, kMode);
+      EXPECT_LE(stats.initial_cardinality, stats.final_cardinality);
     }
   }
   EXPECT_GE(checked, 1u);

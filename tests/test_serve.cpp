@@ -167,7 +167,6 @@ TEST(Protocol, RequestRoundTrip) {
   request.initializer = "greedy";
   request.threads = 3;
   request.reduce = "d1";
-  request.shard = "dm";
   request.dirsel = "adaptive";
   request.kernel = "word";
 
@@ -180,7 +179,6 @@ TEST(Protocol, RequestRoundTrip) {
   EXPECT_EQ(decoded.initializer, "greedy");
   EXPECT_EQ(decoded.threads, 3);
   EXPECT_EQ(decoded.reduce, "d1");
-  EXPECT_EQ(decoded.shard, "dm");
   EXPECT_EQ(decoded.dirsel, "adaptive");
   EXPECT_EQ(decoded.kernel, "word");
 }
@@ -308,9 +306,9 @@ TEST(Protocol, RequestFieldsRejectControlCharacters) {
   request.reduce = std::string("d1\x01", 3);
   EXPECT_THROW(encode_request(request), std::invalid_argument);
   request.reduce = "none";
-  request.shard = "dm\x7f";
+  request.dirsel = "fixed\x7f";
   EXPECT_THROW(encode_request(request), std::invalid_argument);
-  request.shard = "none";
+  request.dirsel = "fixed";
   EXPECT_NO_THROW(encode_request(request)) << "clean fields encode fine";
 
   // Decode side: a hand-built payload smuggling a control character
@@ -452,10 +450,6 @@ TEST(MatchServer, BadRequestsGetErrorResponsesNotCrashes) {
   expect_error(request);
 
   request.reduce = "none";
-  request.shard = "bogus";
-  expect_error(request);
-
-  request.shard = "none";
   request.dirsel = "bogus";
   expect_error(request);
 
@@ -463,7 +457,7 @@ TEST(MatchServer, BadRequestsGetErrorResponsesNotCrashes) {
   request.kernel = "bogus";
   expect_error(request);
 
-  EXPECT_EQ(server.counters().failed, 7u);
+  EXPECT_EQ(server.counters().failed, 6u);
   EXPECT_EQ(server.counters().completed, 0u);
 }
 
@@ -484,7 +478,6 @@ TEST(MatchServer, SolverAndModeSelectionPerRequest) {
   MatchRequest request;
   request.graph = "beta";
   request.reduce = "d1";
-  request.shard = "dm";
   const MatchResponse response = server.solve(std::move(request));
   EXPECT_TRUE(response.ok) << response.error;
   EXPECT_EQ(response.cardinality, roster.find("beta")->maximum_cardinality);
@@ -507,6 +500,31 @@ TEST(MatchServer, SolverAndModeSelectionPerRequest) {
           << dirsel << "/" << kernel;
     }
   }
+}
+
+// Frames from peers that still send removed knobs. `shard` is no longer
+// a protocol field, so decode_request skips it like any unknown key and
+// the request is served normally; `d1d2` is no longer a reduce mode, so
+// the request fails with a named error instead of falling back.
+TEST(MatchServer, RemovedKnobFramesDecodeAndFailCleanly) {
+  const GraphRoster roster = small_roster();
+  MatchServer server(roster);
+  std::string error;
+
+  MatchRequest legacy;
+  ASSERT_TRUE(decode_request("graph=alpha\nshard=dm\n", legacy, error))
+      << error;
+  const MatchResponse served = server.solve(std::move(legacy));
+  EXPECT_TRUE(served.ok) << served.error;
+  EXPECT_EQ(served.cardinality, roster.find("alpha")->maximum_cardinality);
+
+  MatchRequest folded;
+  ASSERT_TRUE(decode_request("graph=alpha\nreduce=d1d2\n", folded, error))
+      << error;
+  const MatchResponse refused = server.solve(std::move(folded));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("unknown reduce mode"), std::string::npos)
+      << refused.error;
 }
 
 TEST(MatchServer, AdmissionControlRejectsBeyondCapacity) {

@@ -90,7 +90,7 @@ TEST(RunStatsJson, ReduceBlockIsStrictlyValid) {
   RunConfig config;
   config.reduce = ReduceMode::kDegree1;
   config.collect_path_histogram = true;
-  const RunStats stats = engine::run_reduced("graft", "greedy", g, m, config);
+  const RunStats stats = engine::run("graft", "greedy", g, m, config);
   obs::disarm();
 
   ASSERT_TRUE(stats.reduce.collected);
