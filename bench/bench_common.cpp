@@ -3,6 +3,7 @@
 #include <omp.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "graftmatch/runtime/cli.hpp"
 
@@ -35,7 +37,7 @@ double env_double(const char* name, double fallback) {
                "          [--batch B] [--batches N] [--window F]\n"
                "          [--init %s]\n"
                "          [--reduce none|d1]\n"
-               "          [--dirsel fixed|adaptive|td|bu] [--kernel bit|word]\n"
+               "          [--kernel bit|word]\n"
                "          [--only SUBSTR] [--results-dir DIR]\n"
                "Each flag overrides the matching GRAFTMATCH_* environment "
                "variable.\n",
@@ -68,15 +70,6 @@ void validate_flag_value(const char* flag, const char* value) {
                    "bad value '%s' for --reduce (none | d1)\n", value);
       std::exit(2);
     }
-  } else if (name == "--dirsel") {
-    DirectionPolicy policy;
-    if (!parse_direction_policy(value, policy)) {
-      std::fprintf(stderr,
-                   "bad value '%s' for --dirsel "
-                   "(fixed | adaptive | td | bu)\n",
-                   value);
-      std::exit(2);
-    }
   } else if (name == "--kernel") {
     BottomUpKernel kernel;
     if (!parse_bottom_up_kernel(value, kernel)) {
@@ -105,7 +98,6 @@ void apply_cli_overrides(int argc, char** argv) {
       {"--window", "GRAFTMATCH_WINDOW"},
       {"--init", "GRAFTMATCH_INIT"},
       {"--reduce", "GRAFTMATCH_REDUCE"},
-      {"--dirsel", "GRAFTMATCH_DIRSEL"},
       {"--kernel", "GRAFTMATCH_KERNEL"},
       {"--only", "GRAFTMATCH_ONLY"},
       {"--results-dir", "GRAFTMATCH_RESULTS_DIR"},
@@ -192,20 +184,6 @@ ReduceMode reduce_mode() {
   return mode;
 }
 
-DirectionPolicy direction_policy() {
-  const char* value = std::getenv("GRAFTMATCH_DIRSEL");
-  if (value == nullptr) return DirectionPolicy::kFixed;
-  DirectionPolicy policy;
-  if (!parse_direction_policy(value, policy)) {
-    std::fprintf(stderr,
-                 "bad value '%s' for GRAFTMATCH_DIRSEL "
-                 "(fixed | adaptive | td | bu)\n",
-                 value);
-    std::exit(2);
-  }
-  return policy;
-}
-
 BottomUpKernel bottom_up_kernel() {
   const char* value = std::getenv("GRAFTMATCH_KERNEL");
   if (value == nullptr) return BottomUpKernel::kBit;
@@ -247,10 +225,9 @@ void print_header(const std::string& bench_name, const std::string& what) {
       thread_override() > 0 ? std::to_string(thread_override()) : "default";
   std::printf(
       "workload  : size factor %.3g, seed %llu, initializer %s, threads %s, "
-      "reduce %s, dirsel %s, kernel %s\n\n",
+      "reduce %s, kernel %s\n\n",
       size_factor(), static_cast<unsigned long long>(seed()),
       init_name().c_str(), threads.c_str(), to_string(reduce_mode()).c_str(),
-      to_string(direction_policy()).c_str(),
       to_string(bottom_up_kernel()).c_str());
 }
 
@@ -348,6 +325,27 @@ MeanStd mean_std(const std::vector<double>& samples) {
   return result;
 }
 
+void keep_if_fastest(TimedResult& result, double seconds, RunStats stats) {
+  if (result.seconds.empty() || seconds < best_seconds(result.seconds)) {
+    result.fastest = std::move(stats);
+  }
+  result.seconds.push_back(seconds);
+}
+
+double best_seconds(const std::vector<double>& seconds) {
+  return *std::min_element(seconds.begin(), seconds.end());
+}
+
+double worst_seconds(const std::vector<double>& seconds) {
+  return *std::max_element(seconds.begin(), seconds.end());
+}
+
+std::string format_arm(const std::vector<double>& seconds) {
+  return format_seconds(best_seconds(seconds)) + " [" +
+         format_seconds(best_seconds(seconds)) + "-" +
+         format_seconds(worst_seconds(seconds)) + "]";
+}
+
 TimedResult time_matching_runs(
     const BipartiteGraph& g, int runs,
     const std::function<RunStats(const BipartiteGraph&, Matching&)>& run) {
@@ -357,8 +355,8 @@ TimedResult time_matching_runs(
   const Matching initial = make_initial_matching(g);
   for (int r = 0; r < runs; ++r) {
     Matching matching = initial;
-    result.last = run(g, matching);
-    result.seconds.push_back(result.last.seconds);
+    RunStats stats = run(g, matching);
+    keep_if_fastest(result, stats.seconds, std::move(stats));
   }
   return result;
 }
@@ -370,19 +368,19 @@ TimedResult time_reduced_runs(const BipartiteGraph& g, int runs,
   config.seed = seed();
   config.threads = thread_override();
   config.reduce = mode;
-  config.direction_policy = direction_policy();
   config.bottom_up_kernel = bottom_up_kernel();
   const std::string init = init_name();
   for (int r = 0; r < runs; ++r) {
     Matching matching(g.num_x(), g.num_y());
     const Timer timer;
+    RunStats stats;
     try {
-      result.last = engine::run(solver, init, g, matching, config);
+      stats = engine::run(solver, init, g, matching, config);
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "%s\n", error.what());
       std::exit(2);
     }
-    result.seconds.push_back(timer.elapsed());
+    keep_if_fastest(result, timer.elapsed(), std::move(stats));
   }
   return result;
 }

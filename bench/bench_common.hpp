@@ -21,17 +21,11 @@
 //                         shown in the bench header. bench_reduce_gain
 //                         measures both arms explicitly regardless of
 //                         this knob.
-//   GRAFTMATCH_DIRSEL  -- traversal-direction policy: fixed (default,
-//                         the paper's alpha rule) | adaptive (scout/
-//                         awake edge counts with hysteresis) | td | bu
-//                         (forced single-direction A/B floors). Benches
-//                         that time through time_reduced_runs honor it;
-//                         bench_ablation_alpha and bench_fig4 also run
-//                         explicit arms regardless.
 //   GRAFTMATCH_KERNEL  -- bottom-up kernel: bit (default, per-bit
 //                         candidate-pool scan) | word (64-candidate
-//                         ctz sweep with word-granular claims). Same
-//                         benches as GRAFTMATCH_DIRSEL.
+//                         ctz sweep with word-granular claims). Honored
+//                         by benches that time through time_reduced_runs
+//                         and by bench_fig4 and bench_ablation_alpha.
 //   GRAFTMATCH_ONLY    -- substring filter on instance names; benches
 //                         that honor it skip non-matching workloads
 //                         (empty/unset = run everything).
@@ -108,10 +102,6 @@ double churn_window_fraction(double fallback);
 /// kNone). Unknown values print an error and exit(2).
 ReduceMode reduce_mode();
 
-/// Traversal-direction policy from GRAFTMATCH_DIRSEL / --dirsel
-/// (default kFixed). Unknown values print an error and exit(2).
-DirectionPolicy direction_policy();
-
 /// Bottom-up kernel arm from GRAFTMATCH_KERNEL / --kernel (default
 /// kBit). Unknown values print an error and exit(2).
 BottomUpKernel bottom_up_kernel();
@@ -179,12 +169,26 @@ class CsvWriter {
 };
 
 /// Time `run` (which must return RunStats) `runs` times on fresh
-/// Karp-Sipser-initialized matchings; returns per-run total seconds and
-/// the stats of the last run.
+/// copies of one initial matching; returns per-run total seconds and
+/// the stats of the fastest run.
 struct TimedResult {
   std::vector<double> seconds;
-  RunStats last;
+  RunStats fastest;
 };
+
+/// Append one run's `seconds` to `result`, keeping `stats` as
+/// `result.fastest` when this run is the fastest so far.
+void keep_if_fastest(TimedResult& result, double seconds, RunStats stats);
+
+/// Best-of-N seconds (the minimum: on a shared machine any excess over
+/// it is interference, not algorithm) and the slowest run.
+double best_seconds(const std::vector<double>& seconds);
+double worst_seconds(const std::vector<double>& seconds);
+
+/// "best [min-max]" -- the min is the best, so the range shows how far
+/// the slowest run strayed from it.
+std::string format_arm(const std::vector<double>& seconds);
+
 TimedResult time_matching_runs(
     const BipartiteGraph& g, int runs,
     const std::function<RunStats(const BipartiteGraph&, Matching&)>& run);

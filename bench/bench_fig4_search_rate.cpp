@@ -6,6 +6,7 @@
 // is 2-12x PF's, with the largest gaps on low-matching-number graphs
 // (the paper highlights wikipedia 12x, web-Google 10x).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -18,18 +19,21 @@ int main(int argc, char** argv) {
 
   const int runs = run_count(3);
   const std::vector<Workload> workloads = make_suite_workloads(false);
-  // The graft arm honors --dirsel/--kernel so an A/B is two invocations
-  // of this bench with the same roster (the policy/arm land in the CSV
-  // for the join); Pothen-Fan has no direction switch and ignores both.
-  const DirectionPolicy dirsel = direction_policy();
+  // The graft arm honors --kernel so a kernel A/B is two invocations of
+  // this bench with the same roster (the arm lands in the CSV for the
+  // join); Pothen-Fan has no bottom-up kernel and ignores it. Each
+  // rate is the fastest of `runs` runs; the [min-max] seconds show how
+  // far the others strayed.
   const BottomUpKernel kernel = bottom_up_kernel();
   CsvWriter csv("fig4_search_rate",
-                {"instance", "class", "dirsel", "kernel", "graft_mteps",
-                 "pf_mteps", "cardinality"});
+                {"instance", "class", "kernel", "graft_mteps", "pf_mteps",
+                 "graft_seconds", "graft_max_seconds", "pf_seconds",
+                 "pf_max_seconds", "cardinality"});
 
-  std::printf("%-18s %-11s %14s %14s %8s\n", "instance", "class",
-              "Graft MTEPS", "PF MTEPS", "ratio");
-  std::printf("%s\n", std::string(70, '-').c_str());
+  std::printf("%-18s %-11s %12s %12s %8s %28s %28s\n", "instance", "class",
+              "Graft MTEPS", "PF MTEPS", "ratio", "Graft best [min-max]",
+              "PF best [min-max]");
+  std::printf("%s\n", std::string(123, '-').c_str());
 
   // Consistency gate: both solvers compute MAXIMUM matchings, so their
   // cardinalities must agree on every instance. A perf number from a
@@ -38,28 +42,19 @@ int main(int argc, char** argv) {
   int mismatches = 0;
   for (const Workload& w : workloads) {
     RunConfig config;  // all threads
-    config.direction_policy = dirsel;
     config.bottom_up_kernel = kernel;
-    double graft_rate = 0.0;
-    double pf_rate = 0.0;
-    std::int64_t graft_cardinality = 0;
-    std::int64_t pf_cardinality = 0;
-    {
-      const TimedResult timed = time_matching_runs(
-          w.graph, runs, [&](const BipartiteGraph& g, Matching& m) {
-            return ms_bfs_graft(g, m, config);
-          });
-      graft_rate = timed.last.mteps();
-      graft_cardinality = timed.last.final_cardinality;
-    }
-    {
-      const TimedResult timed = time_matching_runs(
-          w.graph, runs, [&](const BipartiteGraph& g, Matching& m) {
-            return pothen_fan(g, m, config);
-          });
-      pf_rate = timed.last.mteps();
-      pf_cardinality = timed.last.final_cardinality;
-    }
+    const TimedResult graft = time_matching_runs(
+        w.graph, runs, [&](const BipartiteGraph& g, Matching& m) {
+          return ms_bfs_graft(g, m, config);
+        });
+    const TimedResult pf = time_matching_runs(
+        w.graph, runs, [&](const BipartiteGraph& g, Matching& m) {
+          return pothen_fan(g, m, config);
+        });
+    const double graft_rate = graft.fastest.mteps();
+    const double pf_rate = pf.fastest.mteps();
+    const std::int64_t graft_cardinality = graft.fastest.final_cardinality;
+    const std::int64_t pf_cardinality = pf.fastest.final_cardinality;
     if (graft_cardinality != pf_cardinality) {
       ++mismatches;
       std::fprintf(stderr,
@@ -69,12 +64,18 @@ int main(int argc, char** argv) {
                    static_cast<long long>(graft_cardinality),
                    static_cast<long long>(pf_cardinality));
     }
-    std::printf("%-18s %-11s %14.2f %14.2f %7.2fx\n", w.name.c_str(),
-                to_string(w.graph_class).c_str(), graft_rate, pf_rate,
-                pf_rate > 0 ? graft_rate / pf_rate : 0.0);
-    csv.row({w.name, to_string(w.graph_class), to_string(dirsel),
-             to_string(kernel), CsvWriter::cell(graft_rate),
-             CsvWriter::cell(pf_rate), CsvWriter::cell(graft_cardinality)});
+    std::printf("%-18s %-11s %12.2f %12.2f %7.2fx %28s %28s\n",
+                w.name.c_str(), to_string(w.graph_class).c_str(), graft_rate,
+                pf_rate, pf_rate > 0 ? graft_rate / pf_rate : 0.0,
+                format_arm(graft.seconds).c_str(),
+                format_arm(pf.seconds).c_str());
+    csv.row({w.name, to_string(w.graph_class), to_string(kernel),
+             CsvWriter::cell(graft_rate), CsvWriter::cell(pf_rate),
+             CsvWriter::cell(best_seconds(graft.seconds)),
+             CsvWriter::cell(worst_seconds(graft.seconds)),
+             CsvWriter::cell(best_seconds(pf.seconds)),
+             CsvWriter::cell(worst_seconds(pf.seconds)),
+             CsvWriter::cell(graft_cardinality)});
   }
   std::printf("csv: %s\n", csv.path().c_str());
 

@@ -157,9 +157,9 @@ void BM_MsBfsGraft(benchmark::State& state) {
 }
 BENCHMARK(BM_MsBfsGraft)->Unit(benchmark::kMillisecond);
 
-// Word-vs-bit / fixed-vs-adaptive A/B on the same graph and initial
-// matching as BM_MsBfsGraft: the four rows land side by side in the
-// CSV, so the kernel and policy choices stay recorded measurements.
+// Word-vs-bit A/B on the same graph and initial matching as
+// BM_MsBfsGraft: the two rows land side by side in the CSV, so the
+// kernel choice stays a recorded measurement.
 void BM_MsBfsGraftWord(benchmark::State& state) {
   const BipartiteGraph& g = micro_graph();
   const Matching initial = randomized_greedy(g, 1);
@@ -172,33 +172,6 @@ void BM_MsBfsGraftWord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MsBfsGraftWord)->Unit(benchmark::kMillisecond);
-
-void BM_MsBfsGraftAdaptive(benchmark::State& state) {
-  const BipartiteGraph& g = micro_graph();
-  const Matching initial = randomized_greedy(g, 1);
-  RunConfig config;
-  config.direction_policy = DirectionPolicy::kAdaptive;
-  for (auto _ : state) {
-    Matching m = initial;
-    const RunStats stats = ms_bfs_graft(g, m, config);
-    benchmark::DoNotOptimize(stats.final_cardinality);
-  }
-}
-BENCHMARK(BM_MsBfsGraftAdaptive)->Unit(benchmark::kMillisecond);
-
-void BM_MsBfsGraftAdaptiveWord(benchmark::State& state) {
-  const BipartiteGraph& g = micro_graph();
-  const Matching initial = randomized_greedy(g, 1);
-  RunConfig config;
-  config.direction_policy = DirectionPolicy::kAdaptive;
-  config.bottom_up_kernel = BottomUpKernel::kWord;
-  for (auto _ : state) {
-    Matching m = initial;
-    const RunStats stats = ms_bfs_graft(g, m, config);
-    benchmark::DoNotOptimize(stats.final_cardinality);
-  }
-}
-BENCHMARK(BM_MsBfsGraftAdaptiveWord)->Unit(benchmark::kMillisecond);
 
 void BM_PothenFan(benchmark::State& state) {
   const BipartiteGraph& g = micro_graph();
@@ -429,39 +402,37 @@ void BM_ClaimWholeWords(benchmark::State& state) {
 }
 BENCHMARK(BM_ClaimWholeWords)->Arg(1 << 16);
 
-// Cardinality gate over the full policy x kernel matrix: every
-// combination must reproduce the oracle cardinality on each roster
-// instance (scaled by --size). A perf A/B from an arm that gets the
-// answer wrong is worse than no A/B, so main() turns any mismatch into
-// a nonzero exit for CI.
+// Cardinality gate over both kernels with direction optimization on
+// and off: every combination must reproduce the oracle cardinality on
+// each roster instance (scaled by --size). A perf A/B from an arm that
+// gets the answer wrong is worse than no A/B, so main() turns any
+// mismatch into a nonzero exit for CI.
 int run_cardinality_gate() {
   const std::vector<std::string> roster = {"hugetrace-like", "copapers-like",
                                            "wikipedia-like"};
-  const DirectionPolicy policies[] = {
-      DirectionPolicy::kFixed, DirectionPolicy::kAdaptive,
-      DirectionPolicy::kTopDown, DirectionPolicy::kBottomUp};
   const BottomUpKernel kernels[] = {BottomUpKernel::kBit,
                                     BottomUpKernel::kWord};
   int failures = 0;
-  std::printf("\ncardinality gate: 4 policies x 2 kernels on %zu instances\n",
+  std::printf("\ncardinality gate: 2 kernels x dir-opt on/off on %zu "
+              "instances\n",
               roster.size());
   for (const std::string& name : roster) {
     const bench::Workload w = bench::make_workload(name);
     const std::int64_t oracle = maximum_matching_cardinality(w.graph);
-    for (const DirectionPolicy policy : policies) {
-      for (const BottomUpKernel kernel : kernels) {
+    for (const BottomUpKernel kernel : kernels) {
+      for (const bool direction_optimizing : {true, false}) {
         RunConfig config;
-        config.direction_policy = policy;
+        config.direction_optimizing = direction_optimizing;
         config.bottom_up_kernel = kernel;
         Matching m = bench::make_initial_matching(w.graph);
         const RunStats stats = ms_bfs_graft(w.graph, m, config);
         if (stats.final_cardinality != oracle) {
           ++failures;
           std::fprintf(stderr,
-                       "CARDINALITY MISMATCH on %s (dirsel=%s kernel=%s): "
+                       "CARDINALITY MISMATCH on %s (kernel=%s dir-opt=%s): "
                        "got %lld, oracle %lld\n",
-                       w.name.c_str(), to_string(policy).c_str(),
-                       to_string(kernel).c_str(),
+                       w.name.c_str(), to_string(kernel).c_str(),
+                       direction_optimizing ? "on" : "off",
                        static_cast<long long>(stats.final_cardinality),
                        static_cast<long long>(oracle));
         }

@@ -21,36 +21,10 @@
 // identity kernels, so their two arms run the same solve and their
 // spread is the bench's noise floor. docs/REDUCTIONS.md records the
 // measured table.
-#include <algorithm>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-
-namespace {
-
-/// Best-of-N wall time. The comparison is between two deterministic
-/// pipelines on the same graph, so the minimum is the least noisy
-/// estimator of the true cost on a shared machine (any excess over it
-/// is scheduler interference, not algorithm).
-double best_seconds(const std::vector<double>& seconds) {
-  return *std::min_element(seconds.begin(), seconds.end());
-}
-
-double worst_seconds(const std::vector<double>& seconds) {
-  return *std::max_element(seconds.begin(), seconds.end());
-}
-
-/// "best [min-max]" -- the min is the best, so the range shows how far
-/// the slowest run strayed from it.
-std::string format_arm(const std::vector<double>& seconds) {
-  return graftmatch::format_seconds(best_seconds(seconds)) + " [" +
-         graftmatch::format_seconds(best_seconds(seconds)) + "-" +
-         graftmatch::format_seconds(worst_seconds(seconds)) + "]";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace graftmatch;
@@ -83,22 +57,21 @@ int main(int argc, char** argv) {
         const TimedResult one = time_reduced_runs(
             w.graph, 1, "graft",
             reduced ? ReduceMode::kDegree1 : ReduceMode::kNone);
-        into.seconds.push_back(one.seconds.front());
-        into.last = one.last;
+        keep_if_fastest(into, one.seconds.front(), one.fastest);
       }
     }
     const double base_seconds = best_seconds(base.seconds);
     const double arm_seconds = best_seconds(arm.seconds);
-    const ReduceCounters& r = arm.last.reduce;
+    const ReduceCounters& r = arm.fastest.reduce;
     const double speedup =
         arm_seconds > 0.0 ? base_seconds / arm_seconds : 0.0;
-    if (arm.last.final_cardinality != base.last.final_cardinality) {
+    if (arm.fastest.final_cardinality != base.fastest.final_cardinality) {
       std::fprintf(stderr,
                    "CARDINALITY MISMATCH on %s: reduced %lld vs baseline "
                    "%lld\n",
                    w.name.c_str(),
-                   static_cast<long long>(arm.last.final_cardinality),
-                   static_cast<long long>(base.last.final_cardinality));
+                   static_cast<long long>(arm.fastest.final_cardinality),
+                   static_cast<long long>(base.fastest.final_cardinality));
       all_consistent = false;
     }
     std::printf("%-18s %11lld %11lld %34s %34s %7.2fx\n", w.name.c_str(),
@@ -123,7 +96,7 @@ int main(int argc, char** argv) {
              CsvWriter::cell(arm_seconds),
              CsvWriter::cell(worst_seconds(arm.seconds)),
              CsvWriter::cell(speedup),
-             CsvWriter::cell(arm.last.final_cardinality)});
+             CsvWriter::cell(arm.fastest.final_cardinality)});
   }
   std::printf("\ncsv: %s\n", csv.path().c_str());
   return all_consistent ? 0 : 1;

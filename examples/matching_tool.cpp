@@ -13,11 +13,6 @@
 //                   also accepts --reduce=MODE). The solver runs on the
 //                   kernel; the matching is reconstructed and verified
 //                   on the original graph.
-//   --dirsel POLICY traversal-direction policy: fixed | adaptive | td |
-//                   bu (default fixed; also accepts --dirsel=POLICY).
-//                   fixed is the paper's |F| >= unvisited/alpha rule;
-//                   adaptive switches on scout/awake edge counts with
-//                   hysteresis; td/bu force one direction (A/B floors).
 //   --kernel ARM    bottom-up kernel: bit | word (default bit; also
 //                   accepts --kernel=ARM). word consumes the visited
 //                   bitmap 64 candidates at a time with word-granular
@@ -64,8 +59,7 @@ std::string joined_keys(const std::vector<std::string>& names) {
   std::fprintf(stderr,
                "usage: %s (--mtx FILE | --gen INSTANCE | --list) "
                "[--algo NAME] [--init NAME]\n"
-               "       [--reduce MODE] [--dirsel POLICY] "
-               "[--kernel ARM]\n"
+               "       [--reduce MODE] [--kernel ARM]\n"
                "       [--threads N] [--alpha A] [--seed S]\n"
                "       [--size F] [--churn N] [--batch B] [--dm] [--phases] "
                "[--json] [--trace FILE]\n"
@@ -73,7 +67,6 @@ std::string joined_keys(const std::vector<std::string>& names) {
                "  --algo: %s\n"
                "  --init: %s\n"
                "  --reduce: none | d1\n"
-               "  --dirsel: fixed | adaptive | td | bu\n"
                "  --kernel: bit | word\n",
                argv0, joined_keys(engine::solver_names()).c_str(),
                joined_keys(engine::initializer_names()).c_str());
@@ -154,16 +147,6 @@ int main(int argc, char** argv) {
       if (!parse_reduce_mode(value, config.reduce)) {
         std::fprintf(stderr,
                      "error: unknown --reduce mode \"%s\" (none | d1)\n",
-                     value.c_str());
-        return 2;
-      }
-    }
-    else if (arg == "--dirsel" || arg.rfind("--dirsel=", 0) == 0) {
-      const std::string value = arg == "--dirsel" ? next() : arg.substr(9);
-      if (!parse_direction_policy(value, config.direction_policy)) {
-        std::fprintf(stderr,
-                     "error: unknown --dirsel policy \"%s\" "
-                     "(fixed | adaptive | td | bu)\n",
                      value.c_str());
         return 2;
       }

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "graftmatch/engine/direction.hpp"
 #include "graftmatch/engine/edge_partition.hpp"
 #include "graftmatch/engine/frontier_kernels.hpp"
 #include "graftmatch/engine/stats_sink.hpp"
@@ -438,11 +437,9 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
   stats.bookkeeping.workspace_warm = warm;
 
   GraftState state(g, matching, ws);
-  engine::DirectionSelector direction(config.direction_policy, config.alpha,
-                                      g.num_edges(),
-                                      static_cast<std::int64_t>(ny));
-  obs::emit_instant(obs::names::kDirectionPolicy,
-                    static_cast<std::int64_t>(config.direction_policy),
+  stats.direction.collected = true;
+  stats.direction.kernel = config.bottom_up_kernel;
+  obs::emit_instant(obs::names::kBottomUpKernel,
                     static_cast<std::int64_t>(config.bottom_up_kernel));
   // The eligible-parent bits feed the bottom-up kernel, which runs for
   // direction-optimized BFS levels AND for the graft scan; only the
@@ -483,27 +480,23 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
     // bottom-up is disabled for the rest of the phase.
     std::int64_t level = 0;
     bool bottom_up_banned = false;
-    bool last_bottom_up = false;
-    direction.reset_phase();
+    bool last_bottom_up = false;  // every phase starts top-down
     while (!ws.frontier.empty()) {
       const auto frontier_size = static_cast<std::int64_t>(ws.frontier.size());
-      // The adaptive policy wants the frontier's exact edge mass (one
-      // O(|F|) degree sweep); fixed/forced policies never ask, so they
-      // pay nothing here.
-      const std::int64_t scout_edges =
-          config.direction_optimizing && direction.wants_scout()
-              ? engine::scout_edge_sum(engine::x_adjacency(g),
-                                       ws.frontier.items())
-              : 0;
       const bool use_bottom_up =
-          config.direction_optimizing &&
-          direction.choose_bottom_up(frontier_size, scout_edges,
-                                     state.unvisited_y, bottom_up_banned);
+          config.direction_optimizing && !bottom_up_banned &&
+          engine::prefer_bottom_up(frontier_size, state.unvisited_y,
+                                   config.alpha);
+      stats.direction.decisions += config.direction_optimizing ? 1 : 0;
+      stats.direction.bottom_up_levels += use_bottom_up ? 1 : 0;
       obs::emit_counter(obs::names::kFrontier, frontier_size,
                         use_bottom_up ? 1 : 0);
-      if (level > 0 && use_bottom_up != last_bottom_up) {
-        obs::emit_instant(obs::names::kDirectionSwitch, level,
-                          use_bottom_up ? 1 : 0);
+      if (use_bottom_up != last_bottom_up) {
+        ++stats.direction.switches;
+        if (level > 0) {
+          obs::emit_instant(obs::names::kDirectionSwitch, level,
+                            use_bottom_up ? 1 : 0);
+        }
       }
       last_bottom_up = use_bottom_up;
 
@@ -520,8 +513,8 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
         const auto lap = sink.scoped(Step::kBottomUp);
         const engine::WordScanCounters word =
             bottom_up_words(state, stats.edges_traversed, newly_visited);
-        direction.counters().word_commits += word.commits;
-        direction.counters().word_fallbacks += word.fallbacks;
+        stats.direction.word_commits += word.commits;
+        stats.direction.word_fallbacks += word.fallbacks;
         // Same low-yield ban as the pool path, against the candidates
         // this sweep actually examined.
         if (8 * newly_visited < word.candidates) bottom_up_banned = true;
@@ -776,8 +769,6 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
     obs::emit_end(obs::names::kPhase, stats.phases, phase_row.augmentations);
   }
 
-  stats.direction = direction.counters();
-  stats.direction.kernel = config.bottom_up_kernel;
   sink.finish(matching);
   return stats;
 }

@@ -61,32 +61,6 @@ bool parse_reduce_mode(const std::string& name, ReduceMode& mode) {
   return true;
 }
 
-std::string to_string(DirectionPolicy policy) {
-  switch (policy) {
-    case DirectionPolicy::kFixed: return "fixed";
-    case DirectionPolicy::kAdaptive: return "adaptive";
-    case DirectionPolicy::kTopDown: return "td";
-    case DirectionPolicy::kBottomUp: return "bu";
-  }
-  return "fixed";
-}
-
-bool parse_direction_policy(const std::string& name,
-                            DirectionPolicy& policy) {
-  if (name == "fixed") {
-    policy = DirectionPolicy::kFixed;
-  } else if (name == "adaptive") {
-    policy = DirectionPolicy::kAdaptive;
-  } else if (name == "td") {
-    policy = DirectionPolicy::kTopDown;
-  } else if (name == "bu") {
-    policy = DirectionPolicy::kBottomUp;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::string to_string(BottomUpKernel kernel) {
   switch (kernel) {
     case BottomUpKernel::kBit: return "bit";
@@ -123,10 +97,8 @@ std::string format_run_stats(const RunStats& stats) {
         << stats.reduce.forced_matches << ")";
   }
   if (stats.direction.collected &&
-      (stats.direction.policy != DirectionPolicy::kFixed ||
-       stats.direction.kernel != BottomUpKernel::kBit)) {
-    out << " dirsel=" << to_string(stats.direction.policy)
-        << " kernel=" << to_string(stats.direction.kernel);
+      stats.direction.kernel != BottomUpKernel::kBit) {
+    out << " kernel=" << to_string(stats.direction.kernel);
   }
   return out.str();
 }
@@ -224,15 +196,11 @@ std::string run_stats_json(const RunStats& stats) {
   }
   if (stats.direction.collected) {
     const DirectionCounters& dir = stats.direction;
-    out << ",\"direction\":{\"policy\":";
-    append_escaped(out, to_string(dir.policy));
-    out << ",\"kernel\":";
+    out << ",\"direction\":{\"kernel\":";
     append_escaped(out, to_string(dir.kernel));
     out << ",\"decisions\":" << dir.decisions
         << ",\"bottom_up_levels\":" << dir.bottom_up_levels
         << ",\"switches\":" << dir.switches
-        << ",\"scout_edges\":" << dir.scout_edges
-        << ",\"awake_edges\":" << dir.awake_edges
         << ",\"word_commits\":" << dir.word_commits
         << ",\"word_fallbacks\":" << dir.word_fallbacks << "}";
   }

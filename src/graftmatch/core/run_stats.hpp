@@ -31,23 +31,6 @@ std::string to_string(ReduceMode mode);
 /// unknown names.
 bool parse_reduce_mode(const std::string& name, ReduceMode& mode);
 
-/// Traversal-direction policy for the level-synchronous searches
-/// (engine/direction.hpp). The names match the `--dirsel=` CLI values.
-enum class DirectionPolicy {
-  kFixed,     ///< the paper's |F| >= unvisited/alpha rule ("fixed")
-  kAdaptive,  ///< Beamer-style scout/awake edge counts with hysteresis
-              ///< ("adaptive")
-  kTopDown,   ///< never switch to bottom-up ("td"; test/ablation arm)
-  kBottomUp,  ///< always prefer bottom-up ("bu"; test/ablation arm)
-};
-
-/// Canonical CLI name of a policy ("fixed" / "adaptive" / "td" / "bu").
-std::string to_string(DirectionPolicy policy);
-
-/// Inverse of to_string; returns false (leaving `policy` untouched) for
-/// unknown names.
-bool parse_direction_policy(const std::string& name, DirectionPolicy& policy);
-
 /// Bottom-up kernel arm (engine/word_kernels.hpp). The names match the
 /// `--kernel=` CLI values.
 enum class BottomUpKernel {
@@ -111,13 +94,6 @@ struct RunConfig {
   /// solve on the kernel, reconstruct onto the original. Solvers
   /// themselves ignore this field; it is read by the engine driver.
   ReduceMode reduce = ReduceMode::kNone;
-
-  /// Traversal-direction policy for the level-synchronous searches
-  /// (MS-BFS-Graft's top-down/bottom-up switch). kFixed is the paper's
-  /// alpha rule; kAdaptive switches on scout/awake edge counts with
-  /// hysteresis (engine/direction.hpp). Only consulted when
-  /// `direction_optimizing` is set.
-  DirectionPolicy direction_policy = DirectionPolicy::kFixed;
 
   /// Bottom-up kernel arm: per-candidate pool scan (kBit, the default)
   /// or word-level scan of the visited complement with word-granular
@@ -186,24 +162,20 @@ struct BookkeepingCounters {
   std::int64_t epoch_bumps = 0;     ///< O(1) forest invalidations
 };
 
-/// Counters from the pluggable direction-selection seam
-/// (engine/direction.hpp) and the bottom-up kernel arm
-/// (engine/word_kernels.hpp). `collected` stays false for algorithms
-/// without a direction switch; the other fields are then meaningless.
-/// Stamped by ms_bfs_graft so the chosen policy and every per-level
-/// decision stay visible in the stats JSON ("direction" block).
+/// Counters from MS-BFS-Graft's per-level top-down/bottom-up choice
+/// (the paper's alpha rule, engine::prefer_bottom_up) and the bottom-up
+/// kernel arm (engine/word_kernels.hpp). `collected` stays false for
+/// algorithms without a direction switch; the other fields are then
+/// meaningless. Stamped by ms_bfs_graft ("direction" JSON block).
 struct DirectionCounters {
   bool collected = false;
-  DirectionPolicy policy = DirectionPolicy::kFixed;
   BottomUpKernel kernel = BottomUpKernel::kBit;
-  std::int64_t decisions = 0;        ///< levels the policy decided
+  /// Levels the rule decided (0 when direction_optimizing is off).
+  std::int64_t decisions = 0;
   std::int64_t bottom_up_levels = 0; ///< decisions that chose bottom-up
-  std::int64_t switches = 0;         ///< direction changes between levels
-  /// Frontier edge mass summed over the decisions that computed it
-  /// (adaptive policy only; 0 under fixed/forced policies).
-  std::int64_t scout_edges = 0;
-  /// Estimated unvisited-Y edge mass summed over the same decisions.
-  std::int64_t awake_edges = 0;
+  /// Direction changes between consecutive levels; every phase starts
+  /// top-down, so a phase whose first level is bottom-up counts one.
+  std::int64_t switches = 0;
   /// Word-kernel activity (kWord arm only): words committed with a
   /// word-granular claim, and commits that fell back to the per-bit
   /// CAS path under contention.
@@ -300,7 +272,7 @@ struct RunStats {
   /// ms_bfs_graft.
   BookkeepingCounters bookkeeping;
 
-  /// Direction-policy and kernel-arm counters (see DirectionCounters).
+  /// Direction-rule and kernel-arm counters (see DirectionCounters).
   /// Stamped by ms_bfs_graft.
   DirectionCounters direction;
 

@@ -95,11 +95,11 @@ inline constexpr EventName kKernelWord{"kernel.word", "edges", "visits"};
 /// Direction flip within a phase (arg0 = level, arg1 = new direction).
 inline constexpr EventName kDirectionSwitch{"direction_switch", "level",
                                             "bottom_up"};
-/// Run-start instant naming the traversal configuration (arg0 =
-/// DirectionPolicy as int, arg1 = BottomUpKernel as int; the string
-/// forms live in the `direction` RunStats block).
-inline constexpr EventName kDirectionPolicy{"direction_policy", "policy",
-                                            "kernel"};
+/// Run-start instant naming the bottom-up kernel arm (arg0 =
+/// BottomUpKernel as int; the string form lives in the `direction`
+/// RunStats block).
+inline constexpr EventName kBottomUpKernel{"bottom_up_kernel", "kernel",
+                                           nullptr};
 /// Step 3 decision instants (arg0 = |activeX|, arg1 = |renewableY|).
 inline constexpr EventName kGraftChosen{"graft_chosen", "active_x",
                                         "renewable_y"};

@@ -5,8 +5,8 @@
 namespace graftmatch::serve {
 
 BatchKey batch_key(const MatchRequest& request) {
-  return BatchKey{request.graph,  request.solver, request.initializer,
-                  request.reduce, request.dirsel, request.kernel};
+  return BatchKey{request.graph, request.solver, request.initializer,
+                  request.reduce, request.kernel};
 }
 
 bool BatchScheduler::next_batch(std::vector<ServerTask>& out) {

@@ -3,7 +3,7 @@
 //
 // MS-BFS-Graft is natively multi-source -- one run amortizes traversal
 // across many active trees -- so N concurrent requests for the same
-// (graph, solver, initializer, reduce, dirsel, kernel) key do
+// (graph, solver, initializer, reduce, kernel) key do
 // not need N solver runs: one run answers all of them. The scheduler
 // turns the FIFO backlog into groups: a worker seeds a batch with the
 // oldest queued task, claims every other queued task with the same key
@@ -41,7 +41,7 @@ struct ServerTask {
   bool has_deadline = false;
 };
 
-/// The coalescing key: requests agreeing on all six fields are
+/// The coalescing key: requests agreeing on all five fields are
 /// answered by one solve, so each group's seed is validated with the
 /// same lookup fields as every member. `threads` is deliberately
 /// absent -- width is an execution hint, not a result-changing input
@@ -53,7 +53,6 @@ struct BatchKey {
   std::string solver;
   std::string initializer;
   std::string reduce;
-  std::string dirsel;
   std::string kernel;
 
   friend bool operator==(const BatchKey&, const BatchKey&) = default;

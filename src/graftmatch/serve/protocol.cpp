@@ -136,7 +136,6 @@ std::string encode_request(const MatchRequest& request) {
   put_field(out, "init", request.initializer);
   put(out, "threads", static_cast<std::int64_t>(request.threads));
   put_field(out, "reduce", request.reduce);
-  put_field(out, "dirsel", request.dirsel);
   put_field(out, "kernel", request.kernel);
   if (request.deadline_ms > 0) put(out, "deadline_ms", request.deadline_ms);
   return out.str();
@@ -164,9 +163,6 @@ bool decode_request(const std::string& payload, MatchRequest& request,
         } else if (key == "reduce") {
           if (!is_clean_field(value)) return false;
           request.reduce = value;
-        } else if (key == "dirsel") {
-          if (!is_clean_field(value)) return false;
-          request.dirsel = value;
         } else if (key == "kernel") {
           if (!is_clean_field(value)) return false;
           request.kernel = value;

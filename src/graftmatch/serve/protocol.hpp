@@ -10,7 +10,7 @@
 // are skipped, missing keys keep their defaults).
 //
 // String hygiene: request string fields (graph, solver, init, reduce,
-// dirsel, kernel) are lookup keys, so control characters in them are
+// kernel) are lookup keys, so control characters in them are
 // REJECTED at both encode time (std::invalid_argument) and decode time
 // (error return) rather than silently rewritten -- a graph named "a\nb"
 // must fail loudly, not be looked up as "a b" and misreported as unknown
@@ -45,7 +45,6 @@ struct MatchRequest {
   /// server's configured per-request default.
   int threads = 0;
   std::string reduce = "none";  ///< ReduceMode key (run_stats.hpp)
-  std::string dirsel = "fixed";  ///< DirectionPolicy key
   std::string kernel = "bit";    ///< BottomUpKernel key
   /// Relative deadline in milliseconds from admission; <= 0 = none.
   /// Enforced twice: at admission (rejected when the queue backlog

@@ -226,10 +226,6 @@ MatchResponse MatchServer::handle(SessionContext& session,
     response.error = "unknown reduce mode \"" + request.reduce + "\"";
     return response;
   }
-  if (!parse_direction_policy(request.dirsel, config.direction_policy)) {
-    response.error = "unknown dirsel policy \"" + request.dirsel + "\"";
-    return response;
-  }
   if (!parse_bottom_up_kernel(request.kernel, config.bottom_up_kernel)) {
     response.error = "unknown kernel arm \"" + request.kernel + "\"";
     return response;

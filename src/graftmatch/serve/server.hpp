@@ -9,7 +9,7 @@
 //
 // Batching is the throughput lever: MS-BFS-Graft is natively
 // multi-source, so concurrent requests agreeing on (graph, solver,
-// initializer, reduce, dirsel, kernel) are coalesced by the
+// initializer, reduce, kernel) are coalesced by the
 // BatchScheduler (serve/batch.hpp) into ONE engine::run per group
 // within a bounded window, and the single result is fanned back out to
 // every member's promise. batch_max = 1 restores the one-solve-per-request

@@ -192,16 +192,15 @@ TEST(WordKernelStress, ForcedContentionExercisesFallbackCorrectly) {
 }
 
 TEST(WordKernelStress, WordKernelEngineRunsMatchOracleUnderJitter) {
-  // End-to-end: kernel=word engine runs at randomized thread counts and
-  // policies, oracle-checked every trial. Under TSan this is the leg
+  // End-to-end: kernel=word engine runs at randomized thread counts,
+  // direction optimization on/off and alpha (1e6 makes nearly every
+  // level bottom-up), oracle-checked every trial. Under TSan this is the leg
   // that would surface a racy scan->claim->attach interleaving.
   std::uint64_t stream = kMasterSeed ^ 0xE2E;
   const std::vector<std::string> instances = {"hugetrace-like",
                                               "copapers-like",
                                               "wikipedia-like"};
-  const std::vector<DirectionPolicy> policies = {
-      DirectionPolicy::kFixed, DirectionPolicy::kAdaptive,
-      DirectionPolicy::kBottomUp};
+  const std::vector<double> alphas = {1.5, 5.0, 1e6};
   for (int trial = 0; trial < 9; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
@@ -210,16 +209,16 @@ TEST(WordKernelStress, WordKernelEngineRunsMatchOracleUnderJitter) {
         suite_instance(name).factory(0.01, 100 + trial);
     const std::int64_t expected = maximum_matching_cardinality(g);
     RunConfig config;
-    config.direction_policy = policies[static_cast<std::size_t>(
-        rng.below(policies.size()))];
+    config.direction_optimizing = rng.below(4) != 0;
+    config.alpha = alphas[static_cast<std::size_t>(rng.below(alphas.size()))];
     config.bottom_up_kernel = BottomUpKernel::kWord;
     config.threads = random_thread_count(rng);
     Matching m = randomized_greedy(g, seed);
     const RunStats stats = ms_bfs_graft(g, m, config);
     ASSERT_EQ(stats.final_cardinality, expected)
-        << name << " trial seed " << seed << " dirsel="
-        << to_string(config.direction_policy)
-        << " threads=" << config.threads;
+        << name << " trial seed " << seed
+        << " dir-opt=" << config.direction_optimizing
+        << " alpha=" << config.alpha << " threads=" << config.threads;
     ASSERT_TRUE(is_valid_matching(g, m)) << "trial seed " << seed;
   }
 }

@@ -150,11 +150,8 @@ TEST(BatchKey, GroupsOnSolveIdentityNotThreads) {
   c.reduce = "d1";
   EXPECT_FALSE(batch_key(a) == batch_key(c));
 
-  // The traversal backend is part of the answer's provenance and of
+  // The bottom-up kernel is part of the answer's provenance and of
   // request validation, so it splits groups too.
-  MatchRequest d = a;
-  d.dirsel = "adaptive";
-  EXPECT_FALSE(batch_key(a) == batch_key(d));
   MatchRequest e = a;
   e.kernel = "word";
   EXPECT_FALSE(batch_key(a) == batch_key(e));
@@ -167,7 +164,6 @@ TEST(Protocol, RequestRoundTrip) {
   request.initializer = "greedy";
   request.threads = 3;
   request.reduce = "d1";
-  request.dirsel = "adaptive";
   request.kernel = "word";
 
   MatchRequest decoded;
@@ -179,7 +175,6 @@ TEST(Protocol, RequestRoundTrip) {
   EXPECT_EQ(decoded.initializer, "greedy");
   EXPECT_EQ(decoded.threads, 3);
   EXPECT_EQ(decoded.reduce, "d1");
-  EXPECT_EQ(decoded.dirsel, "adaptive");
   EXPECT_EQ(decoded.kernel, "word");
 }
 
@@ -193,22 +188,25 @@ TEST(Protocol, RequestDefaultsAndUnknownKeys) {
   EXPECT_EQ(decoded.solver, "graft");
   EXPECT_EQ(decoded.initializer, "ks");
   EXPECT_EQ(decoded.threads, 0);
-  EXPECT_EQ(decoded.dirsel, "fixed");
   EXPECT_EQ(decoded.kernel, "bit");
 }
 
 TEST(Protocol, DirselAndKernelRejectControlCharacters) {
   MatchRequest decoded;
   std::string error;
-  EXPECT_FALSE(decode_request("graph=g\ndirsel=ad\x01aptive\n", decoded,
-                              error));
   EXPECT_FALSE(decode_request("graph=g\nkernel=wo\trd\n", decoded, error));
   // Unknown-but-clean values pass the wire layer; the server rejects
   // them at config-parse time with a named error (see MatchServer
   // tests), keeping the protocol forward compatible.
-  EXPECT_TRUE(decode_request("graph=g\ndirsel=someday\n", decoded, error))
+  EXPECT_TRUE(decode_request("graph=g\nkernel=someday\n", decoded, error))
       << error;
-  EXPECT_EQ(decoded.dirsel, "someday");
+  EXPECT_EQ(decoded.kernel, "someday");
+  // `dirsel` is no longer a field: like any unknown key it is skipped
+  // unread, so not even a control character in it fails the frame.
+  EXPECT_TRUE(decode_request("graph=g\ndirsel=ad\x01aptive\n", decoded,
+                             error))
+      << error;
+  EXPECT_EQ(decoded.graph, "g");
 }
 
 TEST(Protocol, RequestValidation) {
@@ -306,9 +304,9 @@ TEST(Protocol, RequestFieldsRejectControlCharacters) {
   request.reduce = std::string("d1\x01", 3);
   EXPECT_THROW(encode_request(request), std::invalid_argument);
   request.reduce = "none";
-  request.dirsel = "fixed\x7f";
+  request.kernel = "bit\x7f";
   EXPECT_THROW(encode_request(request), std::invalid_argument);
-  request.dirsel = "fixed";
+  request.kernel = "bit";
   EXPECT_NO_THROW(encode_request(request)) << "clean fields encode fine";
 
   // Decode side: a hand-built payload smuggling a control character
@@ -450,14 +448,10 @@ TEST(MatchServer, BadRequestsGetErrorResponsesNotCrashes) {
   expect_error(request);
 
   request.reduce = "none";
-  request.dirsel = "bogus";
-  expect_error(request);
-
-  request.dirsel = "fixed";
   request.kernel = "bogus";
   expect_error(request);
 
-  EXPECT_EQ(server.counters().failed, 6u);
+  EXPECT_EQ(server.counters().failed, 5u);
   EXPECT_EQ(server.counters().completed, 0u);
 }
 
@@ -482,30 +476,26 @@ TEST(MatchServer, SolverAndModeSelectionPerRequest) {
   EXPECT_TRUE(response.ok) << response.error;
   EXPECT_EQ(response.cardinality, roster.find("beta")->maximum_cardinality);
 
-  // The traversal-backend knobs ride the same path: every policy x
-  // kernel combination must serve the oracle cardinality (the server's
-  // audit would flag a miss even if this EXPECT did not).
-  for (const std::string& dirsel : {"fixed", "adaptive", "td", "bu"}) {
-    for (const std::string& kernel : {"bit", "word"}) {
-      MatchRequest knob_request;
-      knob_request.graph = "alpha";
-      knob_request.dirsel = dirsel;
-      knob_request.kernel = kernel;
-      const MatchResponse knob_response =
-          server.solve(std::move(knob_request));
-      EXPECT_TRUE(knob_response.ok)
-          << dirsel << "/" << kernel << ": " << knob_response.error;
-      EXPECT_EQ(knob_response.cardinality,
-                roster.find("alpha")->maximum_cardinality)
-          << dirsel << "/" << kernel;
-    }
+  // The kernel knob rides the same path: both arms must serve the
+  // oracle cardinality (the server's audit would flag a miss even if
+  // this EXPECT did not).
+  for (const char* kernel : {"bit", "word"}) {
+    MatchRequest knob_request;
+    knob_request.graph = "alpha";
+    knob_request.kernel = kernel;
+    const MatchResponse knob_response = server.solve(std::move(knob_request));
+    EXPECT_TRUE(knob_response.ok) << kernel << ": " << knob_response.error;
+    EXPECT_EQ(knob_response.cardinality,
+              roster.find("alpha")->maximum_cardinality)
+        << kernel;
   }
 }
 
-// Frames from peers that still send removed knobs. `shard` is no longer
-// a protocol field, so decode_request skips it like any unknown key and
-// the request is served normally; `d1d2` is no longer a reduce mode, so
-// the request fails with a named error instead of falling back.
+// Frames from peers that still send removed knobs. `shard` and `dirsel`
+// are no longer protocol fields, so decode_request skips them like any
+// unknown key and the request is served normally; `d1d2` is no longer
+// a reduce mode, so the request fails with a named error instead of
+// falling back.
 TEST(MatchServer, RemovedKnobFramesDecodeAndFailCleanly) {
   const GraphRoster roster = small_roster();
   MatchServer server(roster);
@@ -517,6 +507,15 @@ TEST(MatchServer, RemovedKnobFramesDecodeAndFailCleanly) {
   const MatchResponse served = server.solve(std::move(legacy));
   EXPECT_TRUE(served.ok) << served.error;
   EXPECT_EQ(served.cardinality, roster.find("alpha")->maximum_cardinality);
+
+  MatchRequest directed;
+  ASSERT_TRUE(
+      decode_request("graph=alpha\ndirsel=adaptive\n", directed, error))
+      << error;
+  const MatchResponse served_directed = server.solve(std::move(directed));
+  EXPECT_TRUE(served_directed.ok) << served_directed.error;
+  EXPECT_EQ(served_directed.cardinality,
+            roster.find("alpha")->maximum_cardinality);
 
   MatchRequest folded;
   ASSERT_TRUE(decode_request("graph=alpha\nreduce=d1d2\n", folded, error))
@@ -673,9 +672,9 @@ TEST(MatchServer, MixedKeysSplitIntoPerKeyBatches) {
 }
 
 TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
-  // Regression: the key once ignored dirsel/kernel, so a malformed
-  // member queued behind a default request rode the default seed's
-  // solve and came back ok=1 batch=2 instead of a request error.
+  // Regression: the key once ignored the kernel, so a malformed member
+  // queued behind a default request rode the default seed's solve and
+  // came back ok=1 batch=2 instead of a request error.
   const GraphRoster roster = small_roster();
   ServerOptions options;
   options.workers = 1;
@@ -687,14 +686,13 @@ TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
   MatchRequest plain;
   plain.graph = "alpha";
   MatchRequest bogus = plain;
-  bogus.dirsel = "bogus";
   bogus.kernel = "nonsense";
-  MatchRequest adaptive = plain;
-  adaptive.dirsel = "adaptive";
-  std::future<MatchResponse> plain_pending, bogus_pending, adaptive_pending;
+  MatchRequest word = plain;
+  word.kernel = "word";
+  std::future<MatchResponse> plain_pending, bogus_pending, word_pending;
   ASSERT_TRUE(server.try_submit(plain, plain_pending));
   ASSERT_TRUE(server.try_submit(bogus, bogus_pending));
-  ASSERT_TRUE(server.try_submit(adaptive, adaptive_pending));
+  ASSERT_TRUE(server.try_submit(word, word_pending));
   server.start();
 
   const MatchResponse plain_response = plain_pending.get();
@@ -703,16 +701,16 @@ TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
 
   const MatchResponse bogus_response = bogus_pending.get();
   EXPECT_FALSE(bogus_response.ok);
-  EXPECT_NE(bogus_response.error.find("unknown dirsel policy"),
+  EXPECT_NE(bogus_response.error.find("unknown kernel arm"),
             std::string::npos)
       << bogus_response.error;
   EXPECT_EQ(bogus_response.batch, 1);
 
-  const MatchResponse adaptive_response = adaptive_pending.get();
-  EXPECT_TRUE(adaptive_response.ok) << adaptive_response.error;
-  EXPECT_EQ(adaptive_response.batch, 1)
-      << "a valid non-default dirsel is not folded into the default group";
-  EXPECT_EQ(adaptive_response.cardinality,
+  const MatchResponse word_response = word_pending.get();
+  EXPECT_TRUE(word_response.ok) << word_response.error;
+  EXPECT_EQ(word_response.batch, 1)
+      << "a valid non-default kernel is not folded into the default group";
+  EXPECT_EQ(word_response.cardinality,
             roster.find("alpha")->maximum_cardinality);
 
   const ServerCounters counters = server.counters();

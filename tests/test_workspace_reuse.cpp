@@ -143,7 +143,8 @@ TEST(WorkspaceReuse, ShrinkThenRegrowKeepsRunsIndependent) {
 }
 
 TEST(WorkspaceReuse, ThreadLocalOverloadStaysCorrectAcrossCalls) {
-  // The 3-argument overload reuses a thread_local workspace; repeated
+  // The 3-argument overload leases a workspace from the ambient
+  // session's WorkspacePool and hands it back after the run; repeated
   // calls from one thread on mixed graphs are the bench min-of-runs
   // and diff-roster pattern.
   ChungLuParams cl;
