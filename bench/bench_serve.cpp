@@ -4,27 +4,25 @@
 // by the serial Hopcroft-Karp oracle at load time), then drives an
 // in-process MatchServer with a FIXED worker pool and a growing set of
 // concurrent closed-loop clients, each blocking on solve() and
-// immediately issuing the next request. Every (graph, client-count)
-// level runs twice: once with batching disabled (batch_max = 1, the
-// one-solve-per-request baseline) and once with coalescing on -- the
-// comparison that shows the BatchScheduler turning same-key backlog
-// into fewer solves. Clients within a level all hit the same graph,
-// which is the serving scenario batching exists for (many callers
-// asking the same question); the level's speedup_vs_unbatched column is
-// the direct measure of the win.
+// immediately issuing the next request. Clients within a level all hit
+// the same graph, which is the serving scenario shared solves exist for
+// (many callers asking the same question); the level's
+// solves_per_request column measures how many solves the server saved.
 //
-// Every response is checked: ok must be set and the served cardinality
-// must equal the roster oracle (the server audits this too when
-// check_cardinality is on; the bench re-checks client-side so a broken
-// audit cannot hide). Any failure makes the bench exit nonzero, so the
-// CI smoke run doubles as a correctness gate.
+// Two gates make the bench exit nonzero, so the CI smoke run doubles as
+// a correctness gate:
+//  * every response must be ok with the roster-oracle cardinality (the
+//    server audits this too when check_cardinality is on; the bench
+//    re-checks client-side so a broken audit cannot hide);
+//  * at >= 4 clients, identical requests must share solves: the
+//    level's solve count must be below its completed count.
 //
 // Knobs (on top of the usual bench env/CLI, see bench_common.hpp):
 //   GRAFTMATCH_CLIENTS -- max concurrent clients (default
 //                         min(4, hardware threads))
 //   GRAFTMATCH_WORKERS -- server worker sessions, deliberately BELOW
-//                         the max client count so a backlog forms and
-//                         batching has something to coalesce (default 2)
+//                         the max client count so requests overlap
+//                         running solves (default 2)
 //   GRAFTMATCH_RUNS    -- requests per client per level (default 24)
 #include <algorithm>
 #include <atomic>
@@ -71,25 +69,23 @@ double percentile(const std::vector<double>& sorted_ms, double p) {
 
 struct LevelResult {
   int clients = 0;
-  std::size_t batch_max = 1;
   std::int64_t requests = 0;
   double seconds = 0.0;
   double rps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double mean_batch = 1.0;
+  std::uint64_t solves = 0;
+  std::uint64_t completed = 0;
   std::int64_t failures = 0;
 };
 
 LevelResult run_level(const GraphRoster& roster, std::size_t graph_index,
-                      int workers, int clients, int requests_per_client,
-                      std::size_t batch_max, std::int64_t window_us) {
+                      int workers, int clients, int requests_per_client) {
   ServerOptions options;
   options.workers = workers;
   options.solver_threads = 1;
   options.queue_capacity = static_cast<std::size_t>(clients) * 4 + 8;
-  options.batch_max = batch_max;
-  options.batch_window_us = window_us;
   MatchServer server(roster, options);
 
   const std::string graph_name = roster.at(graph_index).name;
@@ -132,7 +128,6 @@ LevelResult run_level(const GraphRoster& roster, std::size_t graph_index,
 
   LevelResult result;
   result.clients = clients;
-  result.batch_max = batch_max;
   result.requests = static_cast<std::int64_t>(clients) * requests_per_client;
   result.seconds =
       std::chrono::duration<double>(wall_stop - wall_start).count();
@@ -151,6 +146,8 @@ LevelResult run_level(const GraphRoster& roster, std::size_t graph_index,
           ? static_cast<double>(counters.completed + counters.failed) /
                 static_cast<double>(counters.batches)
           : 1.0;
+  result.solves = counters.batches;
+  result.completed = counters.completed;
   result.failures = failures.load();
   return result;
 }
@@ -161,8 +158,8 @@ int main(int argc, char** argv) {
   using namespace graftmatch;
   bench::bench_entry(argc, argv, "bench_serve",
                      "matching-as-a-service throughput/latency: closed-loop "
-                     "clients against an in-process MatchServer, batched "
-                     "coalescing vs one-solve-per-request");
+                     "clients against an in-process MatchServer whose "
+                     "identical requests share solves");
 
   // A small, shape-diverse roster; the serving point is many solves
   // over a fixed graph set, not one big solve.
@@ -181,15 +178,13 @@ int main(int argc, char** argv) {
   const int clients_max = max_clients();
   const int workers = env_int("GRAFTMATCH_WORKERS", 2);
   const int requests_per_client = bench::run_count(24);
-  const std::int64_t window_us = 500;
   std::cout << "workers: " << workers << ", clients up to " << clients_max
-            << ", " << requests_per_client << " requests/client, batch "
-            << "window " << window_us << " us\n\n";
+            << ", " << requests_per_client << " requests/client\n\n";
 
   bench::CsvWriter csv("bench_serve",
-                       {"graph", "clients", "batch_max", "window_us",
-                        "requests", "seconds", "rps", "p50_ms", "p99_ms",
-                        "mean_batch", "failures", "speedup_vs_unbatched"});
+                       {"graph", "clients", "requests", "seconds", "rps",
+                        "p50_ms", "p99_ms", "mean_batch", "solves_per_request",
+                        "failures"});
 
   // Client levels: powers of two up to the max (always including it),
   // so the interesting regime -- more clients than workers -- is hit
@@ -200,71 +195,51 @@ int main(int argc, char** argv) {
   }
   levels.push_back(clients_max);
 
-  std::cout << "graph            clients  batch   req/s     p50 ms    p99 ms"
-            << "    mean|B|   vs unbatched\n";
-  double best_speedup_at_4 = 0.0;
-  std::string best_graph_at_4;
+  std::cout << "graph            clients   req/s     p50 ms    p99 ms"
+            << "    mean|B|   solves/req\n";
   std::int64_t total_failures = 0;
+  std::vector<std::string> unshared;
   for (std::size_t graph_index = 0; graph_index < roster.size();
        ++graph_index) {
+    const std::string& graph = roster.at(graph_index).name;
     for (const int clients : levels) {
-      // Arm 1: batching off. Arm 2: coalescing up to 2x the client
-      // count (so one window can absorb every concurrent caller plus
-      // the next closed-loop round).
-      const std::size_t batched_max =
-          static_cast<std::size_t>(std::max(2, clients * 2));
-      double unbatched_rps = 0.0;
-      for (const std::size_t batch_max : {std::size_t{1}, batched_max}) {
-        const LevelResult level =
-            run_level(roster, graph_index, workers, clients,
-                      requests_per_client, batch_max, window_us);
-        const bool batched = batch_max > 1;
-        if (!batched) unbatched_rps = level.rps;
-        const double speedup = batched && unbatched_rps > 0.0
-                                   ? level.rps / unbatched_rps
-                                   : 1.0;
-        if (batched && clients >= 4 && speedup > best_speedup_at_4) {
-          best_speedup_at_4 = speedup;
-          best_graph_at_4 = roster.at(graph_index).name;
-        }
-        total_failures += level.failures;
-        std::printf("%-16s %7d  %5zu   %7.1f   %7.2f   %7.2f   %7.2f   %s\n",
-                    roster.at(graph_index).name.c_str(), level.clients,
-                    level.batch_max, level.rps, level.p50_ms, level.p99_ms,
-                    level.mean_batch,
-                    batched ? (std::to_string(speedup) + "x").c_str() : "-");
-        csv.row({roster.at(graph_index).name,
-                 bench::CsvWriter::cell(
-                     static_cast<std::int64_t>(level.clients)),
-                 bench::CsvWriter::cell(
-                     static_cast<std::int64_t>(level.batch_max)),
-                 bench::CsvWriter::cell(window_us),
-                 bench::CsvWriter::cell(level.requests),
-                 bench::CsvWriter::cell(level.seconds),
-                 bench::CsvWriter::cell(level.rps),
-                 bench::CsvWriter::cell(level.p50_ms),
-                 bench::CsvWriter::cell(level.p99_ms),
-                 bench::CsvWriter::cell(level.mean_batch),
-                 bench::CsvWriter::cell(level.failures),
-                 bench::CsvWriter::cell(batched ? speedup : 1.0)});
+      const LevelResult level = run_level(roster, graph_index, workers,
+                                          clients, requests_per_client);
+      const double solves_per_request =
+          level.completed > 0 ? static_cast<double>(level.solves) /
+                                    static_cast<double>(level.completed)
+                              : 0.0;
+      if (clients >= 4 && level.solves >= level.completed) {
+        unshared.push_back(graph + " at " + std::to_string(clients) +
+                           " clients");
       }
+      total_failures += level.failures;
+      std::printf("%-16s %7d   %7.1f   %7.2f   %7.2f   %7.2f   %7.3f\n",
+                  graph.c_str(), level.clients, level.rps, level.p50_ms,
+                  level.p99_ms, level.mean_batch, solves_per_request);
+      csv.row({graph,
+               bench::CsvWriter::cell(
+                   static_cast<std::int64_t>(level.clients)),
+               bench::CsvWriter::cell(level.requests),
+               bench::CsvWriter::cell(level.seconds),
+               bench::CsvWriter::cell(level.rps),
+               bench::CsvWriter::cell(level.p50_ms),
+               bench::CsvWriter::cell(level.p99_ms),
+               bench::CsvWriter::cell(level.mean_batch),
+               bench::CsvWriter::cell(solves_per_request),
+               bench::CsvWriter::cell(level.failures)});
     }
   }
 
-  std::cout << "\nbest batched-vs-unbatched speedup at >= 4 clients: "
-            << best_speedup_at_4 << "x"
-            << (best_graph_at_4.empty() ? "" : " (" + best_graph_at_4 + ")")
-            << "\n";
-  std::cout << "artifact: " << csv.path() << "\n";
+  std::cout << "\nartifact: " << csv.path() << "\n";
   if (total_failures > 0) {
     std::cerr << "bench_serve: " << total_failures
               << " request(s) failed the cardinality/ok gate\n";
     return 1;
   }
-  if (clients_max >= 4 && best_speedup_at_4 <= 1.0) {
-    std::cerr << "bench_serve: batching showed no win at >= 4 clients "
-              << "(best " << best_speedup_at_4 << "x)\n";
-    return 1;
+  for (const std::string& level : unshared) {
+    std::cerr << "bench_serve: identical requests shared no solve (" << level
+              << ")\n";
   }
-  return 0;
+  return unshared.empty() ? 0 : 1;
 }

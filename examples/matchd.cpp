@@ -5,7 +5,9 @@
 // serves matching requests over a length-prefixed key=value protocol
 // (src/graftmatch/serve/protocol.hpp). Each server worker owns a
 // long-lived SessionContext, so concurrent requests get isolated stats,
-// traces, and warm workspace pools.
+// traces, and warm workspace pools. Identical requests share one solve:
+// a request that matches a running solve's (graph, solver, init,
+// reduce, kernel) joins it instead of queueing for another.
 //
 // Usage:
 //   ./matchd --socket /tmp/graftmatch.sock [options]
@@ -18,10 +20,6 @@
 //   --seed S        generator seed (default 1)
 //   --workers N     server worker sessions (default 2)
 //   --queue N       admission-control queue capacity (default 64)
-//   --batch-max N   largest coalesced same-key group one solve may
-//                   answer; 1 disables batching (default 16)
-//   --batch-window-us U  how long an undersized batch waits for more
-//                   same-key arrivals before dispatching (default 200)
 //   --demo          serve one in-process demo client, print the
 //                   exchange, and exit (used by the CI smoke test)
 //
@@ -57,8 +55,7 @@ void handle_signal(int) { g_stop.store(true); }
   std::fprintf(stderr,
                "usage: %s [--socket PATH] [--graphs a,b,c] [--size F] "
                "[--seed S]\n"
-               "       [--workers N] [--queue N] [--batch-max N] "
-               "[--batch-window-us U] [--demo]\n",
+               "       [--workers N] [--queue N] [--demo]\n",
                argv0);
   std::exit(2);
 }
@@ -161,12 +158,6 @@ int main(int argc, char** argv) {
     else if (arg == "--queue")
       options.queue_capacity = static_cast<std::size_t>(
           cli::parse_int_arg("--queue", next().c_str(), 1, 1 << 20));
-    else if (arg == "--batch-max")
-      options.batch_max = static_cast<std::size_t>(
-          cli::parse_int_arg("--batch-max", next().c_str(), 1, 1 << 20));
-    else if (arg == "--batch-window-us")
-      options.batch_window_us = cli::parse_int_arg(
-          "--batch-window-us", next().c_str(), 0, 60'000'000);
     else if (arg == "--demo") demo = true;
     else usage(argv[0]);
   }
@@ -199,11 +190,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  std::printf(
-      "serving on %s with %d worker session(s), queue %zu, "
-      "batch max %zu (window %lld us)\n",
-      socket_path.c_str(), options.workers, options.queue_capacity,
-      options.batch_max, static_cast<long long>(options.batch_window_us));
+  std::printf("serving on %s with %d worker session(s), queue %zu\n",
+              socket_path.c_str(), options.workers, options.queue_capacity);
 
   if (demo) {
     std::printf("demo exchange:\n");
@@ -213,7 +201,7 @@ int main(int argc, char** argv) {
     const serve::ServerCounters counters = server.counters();
     std::printf(
         "served %llu request(s), %llu completed, %llu failed, "
-        "%llu batch(es) dispatched\n",
+        "%llu solve(s) dispatched\n",
         static_cast<unsigned long long>(counters.accepted),
         static_cast<unsigned long long>(counters.completed),
         static_cast<unsigned long long>(counters.failed),

@@ -128,8 +128,9 @@ inline constexpr EventName kReduceReconstruct{"reduce.reconstruct", "forced",
 /// event = matched cardinality).
 inline constexpr EventName kServeRequest{"serve.request", "roster_entry",
                                          "cardinality"};
-/// One span per dispatched batch (arg0 = coalesced group size, arg1 =
-/// matched cardinality); a singleton request is a batch of one.
+/// One span per dispatched solve (arg0 = requests it answered, joiners
+/// included; arg1 = matched cardinality); a request served alone
+/// answers one.
 inline constexpr EventName kServeBatch{"serve.batch", "group", "cardinality"};
 /// Incremental-matcher spans (src/graftmatch/dynamic/): one span per
 /// applied churn batch (arg0 = batch size, arg1 on the End event =

@@ -9,13 +9,10 @@
 // Blocking semantics live only on the consumer side, where server
 // workers wait for work.
 //
-// On top of the plain pop, the queue supports the batching dispatcher
-// (serve/batch.hpp): extract_if() pulls every queued item matching a
-// predicate (the coalescing key) while preserving the order of the
-// rest, and wait_push_until() is the deadline-aware wait that lets a
-// worker hold a coalescing window open without polling -- it sleeps
-// until a *new* push lands, the queue closes, or the window deadline
-// passes.
+// On top of the plain pop, extract_if() pulls every queued item
+// matching a predicate while preserving the order of the rest: a
+// MatchServer worker uses it to claim the queued requests that share
+// its seed's key, so one solve answers them all (serve/server.hpp).
 //
 // Mutex + condition variable on purpose: requests are milliseconds of
 // solver work, so queue overhead is noise, and the blocking pop gives
@@ -23,10 +20,8 @@
 // drains the backlog before reporting closed).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -48,13 +43,8 @@ class BoundedQueue {
       const std::scoped_lock lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
-      ++push_sequence_;
     }
-    // notify_all, not notify_one: consumers wait in two distinct states
-    // (blocked pop() and a coalescing-window wait_push_until()), and
-    // waking only the window-holder would strand the item until its
-    // window closed.
-    ready_.notify_all();
+    ready_.notify_one();
     return true;
   }
 
@@ -69,16 +59,16 @@ class BoundedQueue {
     return true;
   }
 
-  /// Move up to `max` queued items satisfying `pred` into `out`
-  /// (front-to-back, appended), preserving the relative order of the
-  /// items left behind. Never blocks; returns the number extracted.
-  /// This is how a batching worker claims every queued request sharing
-  /// its group key without disturbing other groups' queue positions.
+  /// Move every queued item satisfying `pred` into `out` (front-to-back,
+  /// appended), preserving the relative order of the items left behind.
+  /// Never blocks; returns the number extracted. This is how a worker
+  /// claims every queued request sharing its seed's key without
+  /// disturbing other keys' queue positions.
   template <typename Pred>
-  std::size_t extract_if(Pred&& pred, std::vector<T>& out, std::size_t max) {
+  std::size_t extract_if(Pred&& pred, std::vector<T>& out) {
     const std::scoped_lock lock(mutex_);
     std::size_t taken = 0;
-    for (auto it = items_.begin(); it != items_.end() && taken < max;) {
+    for (auto it = items_.begin(); it != items_.end();) {
       if (pred(*it)) {
         out.push_back(std::move(*it));
         it = items_.erase(it);
@@ -88,27 +78,6 @@ class BoundedQueue {
       }
     }
     return taken;
-  }
-
-  /// Monotonic count of successful pushes; the wait token for
-  /// wait_push_until().
-  std::uint64_t push_sequence() const {
-    const std::scoped_lock lock(mutex_);
-    return push_sequence_;
-  }
-
-  /// Deadline-aware wait for new arrivals: block until the push
-  /// sequence advances past `seen`, the queue closes, or `deadline`
-  /// passes, whichever is first. Returns the current push sequence --
-  /// equal to `seen` exactly when the wait ended for a reason other
-  /// than a new push (deadline or close), which is the caller's signal
-  /// to stop extending a coalescing window.
-  std::uint64_t wait_push_until(
-      std::uint64_t seen, std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock lock(mutex_);
-    ready_.wait_until(lock, deadline,
-                      [&] { return closed_ || push_sequence_ != seen; });
-    return push_sequence_;
   }
 
   /// Stop admitting; wake every blocked pop() once the backlog drains.
@@ -137,7 +106,6 @@ class BoundedQueue {
   mutable std::mutex mutex_;
   std::condition_variable ready_;
   std::deque<T> items_;
-  std::uint64_t push_sequence_ = 0;
   bool closed_ = false;
 };
 

@@ -158,7 +158,11 @@ bool decode_request(const std::string& payload, MatchRequest& request,
           request.initializer = value;
         } else if (key == "threads") {
           std::int64_t threads = 0;
-          if (!parse_int(value, threads)) return false;
+          if (!parse_int(value, threads) ||
+              threads < std::numeric_limits<int>::min() ||
+              threads > std::numeric_limits<int>::max()) {
+            return false;
+          }
           request.threads = static_cast<int>(threads);
         } else if (key == "reduce") {
           if (!is_clean_field(value)) return false;

@@ -42,14 +42,17 @@ struct MatchRequest {
   std::string solver = "graft";
   std::string initializer = "ks";
   /// OpenMP width for this request's solver regions; <= 0 uses the
-  /// server's configured per-request default.
+  /// server's configured per-request default. The server clamps the
+  /// width to [1, omp_get_num_procs()]; a wire value outside `int`
+  /// range is a decode error.
   int threads = 0;
   std::string reduce = "none";  ///< ReduceMode key (run_stats.hpp)
   std::string kernel = "bit";    ///< BottomUpKernel key
   /// Relative deadline in milliseconds from admission; <= 0 = none.
   /// Enforced twice: at admission (rejected when the queue backlog
-  /// already implies a miss) and at dispatch (an expired member of a
-  /// batch gets a `deadline exceeded` response instead of a solve).
+  /// already implies a miss) and at dispatch (a queued request whose
+  /// deadline passed gets a `deadline exceeded` response instead of a
+  /// solve). Deadlines too far out for the clock saturate to "never".
   std::int64_t deadline_ms = 0;
 };
 
@@ -71,8 +74,8 @@ struct MatchResponse {
   double seconds = 0.0;          ///< solver wall time, server-side
   std::uint64_t session = 0;     ///< id of the session that served it
   int threads = 0;               ///< solver width actually used
-  /// Size of the coalesced group this response's solve answered (1 =
-  /// the request was served alone).
+  /// Number of requests this response's solve answered, requests that
+  /// joined it while it ran included (1 = served alone).
   int batch = 1;
 };
 

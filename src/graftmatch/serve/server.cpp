@@ -1,5 +1,7 @@
 #include "graftmatch/serve/server.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -13,12 +15,15 @@
 
 namespace graftmatch::serve {
 
+BatchKey batch_key(const MatchRequest& request) {
+  return BatchKey{request.graph, request.solver, request.initializer,
+                  request.reduce, request.kernel};
+}
+
 MatchServer::MatchServer(const GraphRoster& roster, ServerOptions options)
     : roster_(roster),
       options_(options),
       queue_(options.queue_capacity),
-      scheduler_(queue_,
-                 BatchOptions{options.batch_max, options.batch_window_us}),
       service_ewma_ms_(options.assumed_service_ms > 0.0
                            ? options.assumed_service_ms
                            : 0.0) {
@@ -56,9 +61,9 @@ double MatchServer::estimated_backlog_ms() const {
   const double workers =
       static_cast<double>(std::max(1, options_.workers));
   // Conservative on purpose: this assumes the backlog drains one
-  // request per solve. Batching usually drains same-key runs faster, so
-  // the gate over-rejects tight deadlines rather than admitting work
-  // destined to expire in the queue.
+  // request per solve. Shared solves usually drain same-key runs
+  // faster, so the gate over-rejects tight deadlines rather than
+  // admitting work destined to expire in the queue.
   return static_cast<double>(queue_.size()) * per_request / workers;
 }
 
@@ -91,12 +96,25 @@ bool MatchServer::try_submit(MatchRequest request,
       }
       return false;
     }
+    // Saturate: now + deadline_ms overflows the clock's int64
+    // nanoseconds for deadlines beyond ~292 years from boot.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now);
     task.has_deadline = true;
-    task.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(request.deadline_ms);
+    task.deadline = request.deadline_ms < headroom.count()
+                        ? now + std::chrono::milliseconds(request.deadline_ms)
+                        : Clock::time_point::max();
+  }
+  std::future<MatchResponse> pending = task.promise.get_future();
+  if (join_flight(request, task.promise)) {
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    response = std::move(pending);
+    return true;
   }
   task.request = std::move(request);
-  std::future<MatchResponse> pending = task.promise.get_future();
   if (!queue_.try_push(std::move(task))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     if (reject_reason != nullptr) {
@@ -124,6 +142,20 @@ MatchResponse MatchServer::solve(MatchRequest request) {
   return pending.get();
 }
 
+bool MatchServer::join_flight(const MatchRequest& request,
+                              std::promise<MatchResponse>& promise) {
+  const std::scoped_lock lock(flights_mutex_);
+  if (flights_.empty() || queue_.closed()) return false;
+  const BatchKey key = batch_key(request);
+  for (Flight& flight : flights_) {
+    if (flight.key == key) {
+      flight.joiners.push_back(std::move(promise));
+      return true;
+    }
+  }
+  return false;
+}
+
 ServerCounters MatchServer::counters() const {
   ServerCounters counters;
   counters.accepted = accepted_.load(std::memory_order_relaxed);
@@ -137,12 +169,18 @@ ServerCounters MatchServer::counters() const {
 }
 
 void MatchServer::worker_loop(SessionContext& session) {
+  const SessionScope scope(session);
   std::vector<ServerTask> batch;
   std::vector<ServerTask> live;
-  while (scheduler_.next_batch(batch)) {
+  ServerTask seed;
+  while (queue_.pop(seed)) {
+    const BatchKey key = batch_key(seed.request);
+    batch.push_back(std::move(seed));
+    queue_.extract_if(
+        [&](const ServerTask& task) { return batch_key(task.request) == key; },
+        batch);
     // Dispatch half of deadline enforcement: members whose absolute
     // deadline passed while queued are answered without a solve.
-    live.clear();
     const auto now = std::chrono::steady_clock::now();
     for (ServerTask& task : batch) {
       if (task.has_deadline && now >= task.deadline) {
@@ -165,42 +203,58 @@ void MatchServer::worker_loop(SessionContext& session) {
     batch.clear();
     if (live.empty()) continue;
 
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    if (live.size() >= 2) {
-      coalesced_.fetch_add(live.size(), std::memory_order_relaxed);
+    {
+      const std::scoped_lock lock(flights_mutex_);
+      flights_.push_back(Flight{key, session.id(), {}});
     }
-
+    const std::int64_t span_start = obs::timestamp();
     MatchResponse response;
     const Timer service_timer;
     try {
-      response = handle(session, live.front().request, live.size());
+      response = handle(session, live.front().request);
     } catch (const std::exception& e) {
       response = MatchResponse{};
       response.graph = live.front().request.graph;
       response.error = e.what();
     }
+    // Unregister and take the joiners in one critical section: a
+    // request that misses this flight queues for the next solve.
+    std::vector<std::promise<MatchResponse>> joiners;
+    {
+      const std::scoped_lock lock(flights_mutex_);
+      const auto mine = std::find_if(
+          flights_.begin(), flights_.end(),
+          [&](const Flight& flight) { return flight.owner == session.id(); });
+      joiners = std::move(mine->joiners);
+      flights_.erase(mine);
+    }
+    const std::size_t answered = live.size() + joiners.size();
+    obs::emit_complete(obs::names::kServeBatch, span_start,
+                       static_cast<std::int64_t>(answered),
+                       response.cardinality);
     record_service_ms(service_timer.elapsed() * 1000.0 /
-                      static_cast<double>(live.size()));
+                      static_cast<double>(answered));
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (answered >= 2) {
+      coalesced_.fetch_add(answered, std::memory_order_relaxed);
+    }
     response.session = session.id();
-    response.batch = static_cast<int>(live.size());
+    response.batch = static_cast<int>(answered);
     if (response.ok) {
-      completed_.fetch_add(live.size(), std::memory_order_relaxed);
+      completed_.fetch_add(answered, std::memory_order_relaxed);
     } else {
-      failed_.fetch_add(live.size(), std::memory_order_relaxed);
+      failed_.fetch_add(answered, std::memory_order_relaxed);
     }
-    // Fan the one result out to every member of the group; the solve
+    // Fan the one result out to every member and joiner; the solve
     // answered all of them.
-    for (std::size_t i = 0; i + 1 < live.size(); ++i) {
-      live[i].promise.set_value(response);
-    }
-    live.back().promise.set_value(std::move(response));
+    for (ServerTask& task : live) task.promise.set_value(response);
+    for (auto& promise : joiners) promise.set_value(response);
     live.clear();  // drop the fulfilled promises before blocking again
   }
 }
 
 MatchResponse MatchServer::handle(SessionContext& session,
-                                  const MatchRequest& request,
-                                  std::size_t group_size) {
+                                  const MatchRequest& request) {
   MatchResponse response;
   response.graph = request.graph;
   response.solver = request.solver;
@@ -230,11 +284,13 @@ MatchResponse MatchServer::handle(SessionContext& session,
     response.error = "unknown kernel arm \"" + request.kernel + "\"";
     return response;
   }
-  config.threads =
-      request.threads > 0 ? request.threads : options_.solver_threads;
+  // The width comes off the wire: clamp it so a client cannot ask the
+  // OpenMP runtime for more threads than the machine has cores.
+  config.threads = std::clamp(
+      request.threads > 0 ? request.threads : options_.solver_threads, 1,
+      omp_get_num_procs());
   response.threads = config.threads;
 
-  const SessionScope scope(session);
   const std::size_t entry_index =
       static_cast<std::size_t>(entry - roster_.entries().data());
   const std::int64_t span_start = obs::timestamp();
@@ -246,9 +302,6 @@ MatchResponse MatchServer::handle(SessionContext& session,
                                      request.initializer, entry->graph,
                                      matching, config);
 
-  obs::emit_complete(obs::names::kServeBatch, span_start,
-                     static_cast<std::int64_t>(group_size),
-                     stats.final_cardinality);
   obs::emit_complete(obs::names::kServeRequest, span_start,
                      static_cast<std::int64_t>(entry_index),
                      stats.final_cardinality);

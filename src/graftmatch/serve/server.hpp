@@ -1,26 +1,28 @@
 // MatchServer: the concurrent matching-as-a-service core.
 //
 // A bounded pool of worker threads, each owning one long-lived
-// SessionContext, drains a bounded request queue through a batching
-// dispatcher. Sessions are the point: a worker's width probe, trace
-// sink, and warm workspace pool persist across requests (so repeat
-// solves of same-shaped graphs skip allocation) and never touch another
-// worker's -- the isolation that runtime/context.hpp exists to provide.
+// SessionContext, drains a bounded request queue. Sessions are the
+// point: a worker's width probe, trace sink, and warm workspace pool
+// persist across requests (so repeat solves of same-shaped graphs skip
+// allocation) and never touch another worker's -- the isolation that
+// runtime/context.hpp exists to provide.
 //
-// Batching is the throughput lever: MS-BFS-Graft is natively
-// multi-source, so concurrent requests agreeing on (graph, solver,
-// initializer, reduce, kernel) are coalesced by the
-// BatchScheduler (serve/batch.hpp) into ONE engine::run per group
-// within a bounded window, and the single result is fanned back out to
-// every member's promise. batch_max = 1 restores the one-solve-per-request
-// behavior.
+// Identical questions share one solve (singleflight). Requests that
+// agree on the BatchKey (graph, solver, initializer, reduce, kernel)
+// have the same answer, because roster graphs never change. A worker
+// pops the oldest queued task, claims every queued task with the same
+// key, and registers the group as a *flight* while its one
+// engine::run executes; a same-key request submitted during that solve
+// joins the flight instead of queueing for a second solve. The single
+// result is fanned out to members and joiners alike.
 //
 // Deadlines are enforced twice. At admission, a request whose
 // `deadline_ms` is already implied unmeetable by the queue backlog
 // (depth x the EWMA of recent per-request service time / workers) is
 // rejected immediately -- failing fast beats queueing work that will be
-// thrown away. At dispatch, a batch member whose absolute deadline has
-// passed gets a `deadline exceeded` response instead of a solve.
+// thrown away. At dispatch, a queued member whose absolute deadline has
+// passed gets a `deadline exceeded` response instead of a solve. A
+// joiner never expires: its solve is already running.
 //
 // Every solved response is audited against the roster's load-time
 // Hopcroft-Karp oracle (ServerOptions::check_cardinality): a served
@@ -34,19 +36,49 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graftmatch/runtime/context.hpp"
-#include "graftmatch/serve/batch.hpp"
 #include "graftmatch/serve/bounded_queue.hpp"
 #include "graftmatch/serve/protocol.hpp"
 #include "graftmatch/serve/roster.hpp"
 
 namespace graftmatch::serve {
+
+/// One queued request: the decoded request, the promise the serving
+/// worker fulfills, and the absolute deadline admission stamped from
+/// MatchRequest::deadline_ms (has_deadline false = none).
+struct ServerTask {
+  MatchRequest request;
+  std::promise<MatchResponse> promise;
+  std::chrono::steady_clock::time_point deadline{};
+  bool has_deadline = false;
+};
+
+/// The sharing key: requests agreeing on all five fields are answered
+/// by one solve. Every field the server validates is in the key, so
+/// every member of a group is validated by the solve that answers it.
+/// `threads` is deliberately absent -- width is an execution hint, not
+/// a result-changing input (every solver is cardinality-deterministic
+/// across widths), so the group runs at the seed member's width.
+struct BatchKey {
+  std::string graph;
+  std::string solver;
+  std::string initializer;
+  std::string reduce;
+  std::string kernel;
+
+  friend bool operator==(const BatchKey&, const BatchKey&) = default;
+};
+
+BatchKey batch_key(const MatchRequest& request);
 
 struct ServerOptions {
   /// Worker threads, each with its own long-lived SessionContext. Total
@@ -58,6 +90,7 @@ struct ServerOptions {
   /// => reject.
   std::size_t queue_capacity = 64;
   /// Default per-request solver width when MatchRequest::threads <= 0.
+  /// Every width is clamped to [1, omp_get_num_procs()].
   int solver_threads = 1;
   /// Start workers in the constructor. Tests set false to fill the
   /// queue deterministically before anything drains it.
@@ -65,12 +98,6 @@ struct ServerOptions {
   /// Audit each response's cardinality against the roster oracle and
   /// fail the response on mismatch.
   bool check_cardinality = true;
-  /// Largest coalesced group one solve may answer; 1 disables batching.
-  std::size_t batch_max = 16;
-  /// Coalescing window in microseconds: how long an undersized batch
-  /// waits for more same-key arrivals before dispatching. 0 = dispatch
-  /// with whatever was already queued.
-  std::int64_t batch_window_us = 200;
   /// Seed for the admission deadline gate's service-time EWMA, in
   /// milliseconds per request. 0 disables the gate until the first
   /// completed solve provides a real measurement.
@@ -78,20 +105,20 @@ struct ServerOptions {
 };
 
 /// Monotonic totals since construction. accepted counts requests that
-/// entered the queue; completed + failed + expired partition the
-/// accepted ones that finished (failed = error response or audit
-/// mismatch; expired = deadline passed before dispatch; neither is a
-/// rejection).
+/// entered the queue or joined a running solve; completed + failed +
+/// expired partition the accepted ones that finished (failed = error
+/// response or audit mismatch; expired = deadline passed before
+/// dispatch; neither is a rejection).
 struct ServerCounters {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t expired = 0;
-  /// Dispatched groups (a singleton counts as a batch of one).
+  /// Solves dispatched (a request served alone counts as one).
   std::uint64_t batches = 0;
-  /// Requests served as members of a group of >= 2 (the coalescing win:
-  /// solves avoided = coalesced - batches over the multi-member groups).
+  /// Requests answered by a solve shared with at least one other
+  /// request, joiners included.
   std::uint64_t coalesced = 0;
 };
 
@@ -111,7 +138,8 @@ class MatchServer {
   /// exceeded` ones when their deadline passed while queued).
   void stop();
 
-  /// Non-blocking submit. On acceptance, `response` is a future the
+  /// Non-blocking submit. On acceptance -- joining a running same-key
+  /// solve, or else entering the queue -- `response` is a future the
   /// serving worker fulfills; returns false (future untouched) when the
   /// queue is full, the server is stopped, or the request's deadline is
   /// already unmeetable given the backlog. When `reject_reason` is
@@ -135,12 +163,21 @@ class MatchServer {
   }
 
  private:
+  /// A solve in progress and the same-key requests that joined it.
+  struct Flight {
+    BatchKey key;
+    std::uint64_t owner = 0;  ///< id of the worker session running it
+    std::vector<std::promise<MatchResponse>> joiners;
+  };
+
   void worker_loop(SessionContext& session);
-  /// One solve answering `group_size` coalesced requests; the returned
-  /// response is the fan-out template (everything but per-member
-  /// bookkeeping).
-  MatchResponse handle(SessionContext& session, const MatchRequest& request,
-                       std::size_t group_size);
+  /// Attach `promise` to a running flight with `request`'s key. False
+  /// (promise untouched) when none runs or the server is stopping.
+  bool join_flight(const MatchRequest& request,
+                   std::promise<MatchResponse>& promise);
+  /// One solve; the returned response is the fan-out template
+  /// (everything but per-member bookkeeping).
+  MatchResponse handle(SessionContext& session, const MatchRequest& request);
   /// Queue-backlog wait estimate for the admission deadline gate.
   double estimated_backlog_ms() const;
   void record_service_ms(double per_request_ms);
@@ -148,7 +185,9 @@ class MatchServer {
   const GraphRoster& roster_;
   const ServerOptions options_;
   BoundedQueue<ServerTask> queue_;
-  BatchScheduler scheduler_;
+  /// Running solves, at most one per worker, so a linear scan is enough.
+  std::mutex flights_mutex_;
+  std::vector<Flight> flights_;
   /// One session per worker, stable addresses (workers hold references
   /// across their whole lifetime).
   std::vector<std::unique_ptr<SessionContext>> sessions_;

@@ -3,8 +3,8 @@
 // A deliberately thin layer: UdsServer accepts stream connections on a
 // filesystem socket and, per connection, loops read_frame -> decode ->
 // MatchServer::solve -> encode -> write_frame. All concurrency policy
-// (worker pool, batching, admission control, cardinality audit) lives
-// in MatchServer; this file only moves frames. Each connection gets its
+// (worker pool, shared solves, admission control, cardinality audit)
+// lives in MatchServer; this file only moves frames. Each connection gets its
 // own thread because a connection is a session of blocking
 // request/response exchanges and MatchServer::solve already applies
 // backpressure via rejected responses.

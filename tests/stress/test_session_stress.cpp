@@ -194,10 +194,8 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
   serve::ServerOptions options;
   options.workers = 4;
   options.queue_capacity = 32;
-  // Batching on: concurrent same-key requests may coalesce, and every
-  // member of a group must still get a correct, audited answer.
-  options.batch_max = 4;
-  options.batch_window_us = 200;
+  // Concurrent same-key requests may share a solve, and every member
+  // and joiner must still get a correct, audited answer.
   serve::MatchServer server(roster, options);
 
   const char* const solvers[] = {"graft", "pf", "hk"};
@@ -233,8 +231,7 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
           if (response.ok || response.error.empty()) wrong.fetch_add(1);
         } else if (!response.ok || response.expired ||
                    response.cardinality != response.maximum ||
-                   response.batch < 1 ||
-                   response.batch > static_cast<int>(options.batch_max)) {
+                   response.batch < 1 || response.batch > kClients) {
           wrong.fetch_add(1);
         }
       }
@@ -259,7 +256,7 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
 }
 
 TEST(SessionStress, BatchedServerShutdownUnderOpenLoopLoad) {
-  // Open-loop submitters race stop() while batches are in flight: the
+  // Open-loop submitters race stop() while solves are in flight: the
   // drain contract says every future whose try_submit succeeded is
   // fulfilled -- by a served, failed, or expired response -- never
   // abandoned (a std::future_error from get() would mean a worker
@@ -271,8 +268,6 @@ TEST(SessionStress, BatchedServerShutdownUnderOpenLoopLoad) {
   serve::ServerOptions options;
   options.workers = 3;
   options.queue_capacity = 16;
-  options.batch_max = 8;
-  options.batch_window_us = 500;
   serve::MatchServer server(roster, options);
 
   constexpr int kSubmitters = 5;

@@ -1,31 +1,34 @@
 // Tests for the serving layer (src/graftmatch/serve/): the bounded
-// admission queue (including the batching primitives extract_if and
-// wait_push_until), the key=value wire protocol and its framing
-// (exact double round-trips, control-character rejection in request
-// fields), the graph roster with its load-time oracle, the MatchServer
-// lifecycle (admission control, batching/coalescing, deadline
-// enforcement at admission and dispatch, per-session workers,
-// cardinality audit, error responses), and the Unix-domain-socket
-// front end running end to end (including connection churn: fds
-// deregister before close and finished threads are reaped).
+// admission queue (including extract_if, which claims same-key
+// requests), the key=value wire protocol and its framing (exact double
+// round-trips, control-character rejection in request fields, range
+// checks), the graph roster with its load-time oracle, the MatchServer
+// lifecycle (admission control, shared solves for queued and joining
+// same-key requests, deadline enforcement at admission and dispatch,
+// width clamping, per-session workers, cardinality audit, error
+// responses), and the Unix-domain-socket front end running end to end
+// (including connection churn: fds deregister before close and
+// finished threads are reaped).
 //
 // Carries the `serve` label so CI can select the serving battery on
 // its own (the TSan and asan+ubsan legs run it alongside the stress
 // tier).
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <future>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graftmatch/baselines/hopcroft_karp.hpp"
 #include "graftmatch/gen/planted.hpp"
-#include "graftmatch/serve/batch.hpp"
 #include "graftmatch/serve/bounded_queue.hpp"
 #include "graftmatch/serve/protocol.hpp"
 #include "graftmatch/serve/roster.hpp"
@@ -96,10 +99,7 @@ TEST(BoundedQueue, ExtractIfClaimsMatchesAndPreservesTheRest) {
     ASSERT_TRUE(queue.try_push(int{value}));
   }
   std::vector<int> evens;
-  EXPECT_EQ(queue.extract_if([](int v) { return v % 2 == 0; }, evens, 2), 2u)
-      << "honors the max";
-  EXPECT_EQ(evens, (std::vector<int>{2, 4}));
-  EXPECT_EQ(queue.extract_if([](int v) { return v % 2 == 0; }, evens, 8), 1u);
+  EXPECT_EQ(queue.extract_if([](int v) { return v % 2 == 0; }, evens), 3u);
   EXPECT_EQ(evens, (std::vector<int>{2, 4, 6}));
 
   // The odd items kept their relative order.
@@ -109,34 +109,6 @@ TEST(BoundedQueue, ExtractIfClaimsMatchesAndPreservesTheRest) {
     EXPECT_EQ(out, expected);
   }
   EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(BoundedQueue, WaitPushUntilSeesNewPushesAndTimesOutQuietly) {
-  using clock = std::chrono::steady_clock;
-  BoundedQueue<int> queue(4);
-  const std::uint64_t seen = queue.push_sequence();
-
-  // Nothing arrives: the wait ends at the deadline with the sequence
-  // unchanged -- the "stop extending the window" signal.
-  EXPECT_EQ(queue.wait_push_until(seen,
-                                  clock::now() + std::chrono::milliseconds(5)),
-            seen);
-
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(queue.try_push(7));
-  });
-  const std::uint64_t after =
-      queue.wait_push_until(seen, clock::now() + std::chrono::seconds(10));
-  producer.join();
-  EXPECT_GT(after, seen) << "a new push ends the wait early";
-
-  // Close also ends the wait, again leaving the sequence unchanged.
-  queue.close();
-  const std::uint64_t current = queue.push_sequence();
-  EXPECT_EQ(queue.wait_push_until(current,
-                                  clock::now() + std::chrono::seconds(10)),
-            current);
 }
 
 TEST(BatchKey, GroupsOnSolveIdentityNotThreads) {
@@ -216,6 +188,20 @@ TEST(Protocol, RequestValidation) {
       << "graph is required";
   EXPECT_FALSE(decode_request("graph=g\nthreads=abc\n", decoded, error));
   EXPECT_FALSE(decode_request("not a key value line\n", decoded, error));
+}
+
+TEST(Protocol, ThreadsOutsideIntRangeIsADecodeError) {
+  // 2^32 + 1 once truncated to a width of 1; it must fail loudly.
+  MatchRequest decoded;
+  std::string error;
+  EXPECT_FALSE(
+      decode_request("graph=g\nthreads=4294967297\n", decoded, error));
+  EXPECT_NE(error.find("threads"), std::string::npos) << error;
+  EXPECT_FALSE(
+      decode_request("graph=g\nthreads=-4294967297\n", decoded, error));
+  ASSERT_TRUE(decode_request("graph=g\nthreads=2147483647\n", decoded, error))
+      << error;
+  EXPECT_EQ(decoded.threads, std::numeric_limits<int>::max());
 }
 
 TEST(Protocol, ResponseRoundTripIncludingErrorWithEquals) {
@@ -615,7 +601,6 @@ TEST(MatchServer, CoalescesSameKeyBacklogIntoOneSolve) {
   ServerOptions options;
   options.workers = 1;
   options.autostart = false;  // queue the whole group before any drain
-  options.batch_max = 16;
   MatchServer server(roster, options);
 
   MatchRequest request;
@@ -646,7 +631,6 @@ TEST(MatchServer, MixedKeysSplitIntoPerKeyBatches) {
   ServerOptions options;
   options.workers = 1;
   options.autostart = false;
-  options.batch_window_us = 0;  // claim only what is already queued
   MatchServer server(roster, options);
 
   // Interleaved keys: alpha, beta, alpha, beta. Coalescing must group
@@ -671,7 +655,7 @@ TEST(MatchServer, MixedKeysSplitIntoPerKeyBatches) {
   EXPECT_EQ(server.counters().batches, 2u);
 }
 
-TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
+TEST(MatchServer, KernelSplitsBatchesSoEveryMemberIsValidated) {
   // Regression: the key once ignored the kernel, so a malformed member
   // queued behind a default request rode the default seed's solve and
   // came back ok=1 batch=2 instead of a request error.
@@ -679,8 +663,6 @@ TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
   ServerOptions options;
   options.workers = 1;
   options.autostart = false;
-  options.batch_max = 16;
-  options.batch_window_us = 0;
   MatchServer server(roster, options);
 
   MatchRequest plain;
@@ -717,31 +699,6 @@ TEST(MatchServer, DirselAndKernelSplitBatchesSoEveryMemberIsValidated) {
   EXPECT_EQ(counters.batches, 3u);
   EXPECT_EQ(counters.coalesced, 0u);
   EXPECT_EQ(counters.failed, 1u);
-}
-
-TEST(MatchServer, BatchMaxOneDisablesCoalescing) {
-  const GraphRoster roster = small_roster();
-  ServerOptions options;
-  options.workers = 1;
-  options.autostart = false;
-  options.batch_max = 1;
-  MatchServer server(roster, options);
-
-  MatchRequest request;
-  request.graph = "beta";
-  std::vector<std::future<MatchResponse>> pending(3);
-  for (auto& future : pending) {
-    ASSERT_TRUE(server.try_submit(request, future));
-  }
-  server.start();
-  for (auto& future : pending) {
-    const MatchResponse response = future.get();
-    EXPECT_TRUE(response.ok) << response.error;
-    EXPECT_EQ(response.batch, 1);
-  }
-  const ServerCounters counters = server.counters();
-  EXPECT_EQ(counters.batches, 3u) << "one solve per request";
-  EXPECT_EQ(counters.coalesced, 0u);
 }
 
 TEST(MatchServer, DeadlinePassedInQueueYieldsExpiredResponse) {
@@ -894,6 +851,107 @@ TEST(MatchServer, StopUnderLoadFulfillsEveryAcceptedPromise) {
       << "every accepted request is accounted for";
 }
 
+TEST(MatchServer, SameKeyRequestsJoinTheRunningSolve) {
+  // One worker, several closed-loop submitters of the same question:
+  // while a solve runs, the others' requests join it (or are claimed
+  // from the queue with it) instead of waiting for solves of their own.
+  const GraphRoster roster = small_roster();
+  ServerOptions options;
+  options.workers = 1;
+  MatchServer server(roster, options);
+
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 16;
+  std::vector<std::vector<MatchResponse>> responses(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int r = 0; r < kPerSubmitter; ++r) {
+        MatchRequest request;
+        request.graph = "alpha";
+        responses[static_cast<std::size_t>(s)].push_back(
+            server.solve(std::move(request)));
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+
+  // A solve that answered g requests shows up as g responses reporting
+  // batch == g, so per batch value the response count is a multiple of
+  // it, and count / g is that value's number of solves.
+  const std::int64_t maximum = roster.find("alpha")->maximum_cardinality;
+  std::map<int, std::uint64_t> responses_by_batch;
+  for (const auto& mine : responses) {
+    for (const MatchResponse& response : mine) {
+      EXPECT_TRUE(response.ok) << response.error;
+      EXPECT_EQ(response.cardinality, maximum);
+      EXPECT_GE(response.batch, 1);
+      EXPECT_LE(response.batch, kSubmitters)
+          << "each closed-loop submitter has one request outstanding";
+      ++responses_by_batch[response.batch];
+    }
+  }
+  std::uint64_t solves = 0;
+  std::uint64_t answered = 0;
+  for (const auto& [batch, count] : responses_by_batch) {
+    EXPECT_EQ(count % static_cast<std::uint64_t>(batch), 0u)
+        << "batch " << batch;
+    solves += count / static_cast<std::uint64_t>(batch);
+    answered += count;
+  }
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.completed, answered)
+      << "the batch values of distinct solves sum to completed";
+  EXPECT_EQ(counters.batches, solves);
+  EXPECT_LT(counters.batches, counters.completed)
+      << "identical concurrent requests shared no solve";
+  EXPECT_EQ(counters.accepted, counters.completed);
+
+  // After stop() nothing joins or queues: the request is rejected.
+  server.stop();
+  MatchRequest late;
+  late.graph = "alpha";
+  std::future<MatchResponse> never;
+  std::string reason;
+  EXPECT_FALSE(server.try_submit(late, never, &reason));
+  EXPECT_NE(reason.find("stopped"), std::string::npos) << reason;
+  EXPECT_EQ(server.counters().rejected, 1u);
+  EXPECT_EQ(server.counters().accepted, answered);
+}
+
+TEST(MatchServer, ClampsRequestedWidthToTheCoreCount) {
+  // The width comes off the wire; the server must not hand an
+  // arbitrary value to the OpenMP runtime. Five over the core count is
+  // enough to show the clamp without starting a flood of threads.
+  const GraphRoster roster = small_roster();
+  MatchServer server(roster);
+  MatchRequest request;
+  request.graph = "beta";
+  request.threads = omp_get_num_procs() + 5;
+  const MatchResponse wide = server.solve(request);
+  EXPECT_TRUE(wide.ok) << wide.error;
+  EXPECT_EQ(wide.threads, omp_get_num_procs());
+
+  request.threads = 0;  // server default (1)
+  const MatchResponse fallback = server.solve(request);
+  EXPECT_TRUE(fallback.ok) << fallback.error;
+  EXPECT_EQ(fallback.threads, 1);
+}
+
+TEST(MatchServer, FarDeadlineSaturatesInsteadOfExpiring) {
+  // now + INT64_MAX ms once overflowed the clock, so "practically no
+  // deadline" read as already passed and the request came back expired.
+  const GraphRoster roster = small_roster();
+  MatchServer server(roster);
+  MatchRequest request;
+  request.graph = "alpha";
+  request.deadline_ms = std::numeric_limits<std::int64_t>::max();
+  const MatchResponse response = server.solve(request);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_FALSE(response.expired);
+  EXPECT_EQ(response.cardinality, roster.find("alpha")->maximum_cardinality);
+}
+
 TEST(Uds, EndToEndOverRealSocket) {
   const GraphRoster roster = small_roster();
   MatchServer server(roster);
@@ -1036,17 +1094,14 @@ TEST(Uds, BatchedRequestsOverSocketCarryGroupSize) {
   const GraphRoster roster = small_roster();
   ServerOptions options;
   options.workers = 1;
-  options.batch_max = 8;
-  options.batch_window_us = 50'000;  // generous: socket clients arrive
-                                     // far apart compared to in-process
   MatchServer server(roster, options);
   UdsServer uds(server, "test_serve_uds_batch.sock");
   std::string error;
   ASSERT_TRUE(uds.start(error)) << error;
 
   // Several socket clients issue the same request concurrently; the
-  // responses must be correct regardless of how the window groups them,
-  // and each must report a plausible group size.
+  // responses must be correct however the requests share solves, and
+  // each must report a plausible group size.
   constexpr int kClients = 4;
   std::vector<std::thread> clients;
   std::vector<int> batch_seen(kClients, 0);
