@@ -9,6 +9,8 @@
 // Expected shape (paper Sec. V-A): Graft ~5-11x over the others overall,
 // with the biggest wins on the web class (low matching number) and the
 // smallest on the scientific class.
+#include <omp.h>
+
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
                "1 thread and all threads)");
 
   const int runs = run_count(3);
-  const int max_threads = logical_cpu_count();
+  const int max_threads = omp_get_num_procs();
   const std::vector<Workload> workloads = make_suite_workloads(false);
   CsvWriter csv("fig3_relative_performance",
                 {"threads", "instance", "class", "graft_seconds",
@@ -59,9 +61,6 @@ int main(int argc, char** argv) {
     for (const Workload& w : workloads) {
       RunConfig config;
       config.threads = threads;
-      // PR tuning per the paper: relabel frequency 2 serial, 16 parallel.
-      RunConfig pr_config = config;
-      pr_config.pr_relabel_frequency = threads == 1 ? 2 : 16;
 
       const engine::SolverInfo& graft = engine::find_solver("graft");
       const engine::SolverInfo& pf = engine::find_solver("pf");
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
           });
       const double pr_s = run_mean(
           w.graph, runs, [&](const BipartiteGraph& g, Matching& m) {
-            return pr.run(g, m, pr_config);
+            return pr.run(g, m, config);
           });
 
       const double slowest = std::max({graft_s, pf_s, pr_s});

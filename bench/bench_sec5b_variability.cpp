@@ -22,8 +22,6 @@ int main(int argc, char** argv) {
                 {"instance", "algorithm", "run", "seconds"});
 
   RunConfig config;  // all threads
-  RunConfig pr_config = config;
-  pr_config.pr_relabel_frequency = 16;
 
   std::printf("%-18s %10s %10s %10s\n", "instance", "Graft psi%", "PF psi%",
               "PR psi%");
@@ -63,7 +61,7 @@ int main(int argc, char** argv) {
         psi("pr",
             time_matching_runs(w.graph, runs,
                                [&](const BipartiteGraph& g, Matching& m) {
-                                 return push_relabel(g, m, pr_config);
+                                 return push_relabel(g, m, config);
                                })
                 .seconds);
     std::printf("%-18s %10.1f %10.1f %10.1f\n", w.name.c_str(), graft_psi,

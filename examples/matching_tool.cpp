@@ -17,7 +17,8 @@
 //                   accepts --kernel=ARM). word consumes the visited
 //                   bitmap 64 candidates at a time with word-granular
 //                   claims instead of the per-bit candidate pool.
-//   --threads N     OpenMP threads (default: runtime default)
+//   --threads N     cap on the solve's OpenMP width (default: runtime
+//                   default); small graphs run narrower (solve_width)
 //   --alpha A       direction/grafting threshold (default 5)
 //   --seed S        generator / initializer seed (default 1)
 //   --dm            also print the coarse DM decomposition

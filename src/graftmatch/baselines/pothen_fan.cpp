@@ -32,7 +32,8 @@ struct DfsWorkspace {
 RunStats pothen_fan(SessionContext& session, const BipartiteGraph& g,
                     Matching& matching, const RunConfig& config) {
   const SessionScope scope(session);
-  const ThreadCountGuard thread_guard(config.threads);
+  const ThreadCountGuard thread_guard(
+      solve_width(g.num_edges(), config.threads));
   RunStats stats;
   engine::StatsSink sink(session, stats, "Pothen-Fan", matching,
                          /*parallel=*/true);
@@ -208,7 +209,7 @@ RunStats pothen_fan(SessionContext& session, const BipartiteGraph& g,
         });
 
     progress = phase_paths > 0;
-    if (config.pf_fairness) forward = !forward;
+    forward = !forward;  // fairness: alternate the scan direction
   }
 
   sink.finish(matching);

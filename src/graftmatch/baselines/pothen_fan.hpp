@@ -16,8 +16,8 @@ namespace graftmatch {
 class SessionContext;
 
 /// Grow `matching` to maximum cardinality with Pothen-Fan.
-/// Honors config.threads (<=0 keeps the OpenMP default) and
-/// config.pf_fairness.
+/// Runs solve_width(edges, config.threads) threads wide, with fairness
+/// (alternating scan direction per phase) always on, as in the paper.
 RunStats pothen_fan(SessionContext& session, const BipartiteGraph& g,
                     Matching& matching, const RunConfig& config = {});
 /// Ambient-session convenience (runtime/context.hpp).

@@ -39,7 +39,8 @@ class SpinGuard {
 RunStats push_relabel(SessionContext& session, const BipartiteGraph& g,
                       Matching& matching, const RunConfig& config) {
   const SessionScope scope(session);
-  const ThreadCountGuard thread_guard(config.threads);
+  const int width = solve_width(g.num_edges(), config.threads);
+  const ThreadCountGuard thread_guard(width);
   RunStats stats;
   engine::StatsSink sink(session, stats, "PR", matching, /*parallel=*/true);
 
@@ -100,10 +101,11 @@ RunStats push_relabel(SessionContext& session, const BipartiteGraph& g,
   }
 
   // Global-relabel cadence: every (n / frequency) pushes, per the
-  // Langguth et al. tuning the paper adopts (freq 2 serial, 16 at high
-  // thread counts).
+  // Langguth et al. tuning the paper adopts (frequency 2 serial, 16
+  // parallel).
+  const int relabel_frequency = width == 1 ? 2 : 16;
   const std::int64_t relabel_threshold =
-      std::max<std::int64_t>(64, (nx + ny) / std::max(1, config.pr_relabel_frequency));
+      std::max<std::int64_t>(64, (nx + ny) / relabel_frequency);
   std::int64_t pushes_since_relabel = 0;
 
   // One double push for active vertex x. Returns the displaced X vertex
@@ -151,11 +153,11 @@ RunStats push_relabel(SessionContext& session, const BipartiteGraph& g,
     }
   };
 
-  const int chunk = std::max(1, config.pr_queue_limit);
+  constexpr int kQueueLimit = 500;  // active vertices per grab (paper)
   while (!active.empty()) {
     sink.start(engine::Step::kTopDown);
     const engine::TraversalCounters counters = engine::for_each_chunked(
-        active.items(), chunk, reactivated,
+        active.items(), kQueueLimit, reactivated,
         [&](vid_t x, auto& out, engine::TraversalCounters& local) {
           if (relaxed_load(mate_x[static_cast<std::size_t>(x)]) !=
               kInvalidVertex) {

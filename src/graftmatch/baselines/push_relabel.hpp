@@ -10,8 +10,8 @@
 //
 // Periodic GLOBAL RELABELING recomputes exact labels with a multi-source
 // BFS from the free Y vertices; its cadence is the paper's "relabel
-// frequency" knob (2 serial / 16 at high thread counts), and the
-// "queue limit" bounds the chunk of active vertices a thread grabs.
+// frequency" (2 at width 1, 16 wider), and the paper's "queue limit"
+// of 500 bounds the chunk of active vertices a thread grabs.
 //
 // The multithreaded variant locks y* with a per-vertex spinlock during
 // the double push so label monotonicity and mate consistency hold.

@@ -85,7 +85,7 @@ struct GraftState {
 
   std::int64_t unvisited_y = 0;  ///< for the direction heuristic
   bool pool_built = false;       ///< bottom-up candidate pool exists
-  /// One-thread team (evaluated after the ThreadCountGuard pins the
+  /// One-thread team (evaluated after the ThreadCountGuard sets the
   /// width): the traversal kernels' bitmap writes then skip the locked
   /// RMW the shared-word layout otherwise requires. A fetch_or per
   /// visit is the one place the packed layout loses to byte arrays'
@@ -416,8 +416,8 @@ RunStats ms_bfs_graft(SessionContext& session, const BipartiteGraph& g,
     throw std::invalid_argument("ms_bfs_graft: alpha must be positive finite");
   }
   const SessionScope scope(session);
-  const ThreadCountGuard thread_guard(config.threads);
-  if (config.pin != PinPolicy::kNone) pin_openmp_threads(config.pin);
+  const ThreadCountGuard thread_guard(
+      solve_width(g.num_edges(), config.threads));
 
   RunStats stats;
   engine::StatsSink sink(

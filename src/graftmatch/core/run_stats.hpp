@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "graftmatch/runtime/affinity.hpp"
 #include "graftmatch/types.hpp"
 
 namespace graftmatch {
@@ -49,7 +48,9 @@ bool parse_bottom_up_kernel(const std::string& name, BottomUpKernel& kernel);
 /// Knobs common to all algorithms (each algorithm reads the subset that
 /// applies to it; defaults reproduce the paper's settings).
 struct RunConfig {
-  /// OpenMP thread count; <= 0 keeps the runtime default.
+  /// Cap on a solve's OpenMP width; <= 0 caps at the runtime default.
+  /// Each solve runs solve_width(edges, threads) threads wide
+  /// (runtime/parallel.hpp), so small graphs run narrower than the cap.
   int threads = 0;
 
   /// Direction-optimization and grafting threshold (paper: alpha ~= 5).
@@ -75,17 +76,6 @@ struct RunConfig {
   /// throw std::logic_error on any violation. For tests and debugging;
   /// roughly doubles the runtime.
   bool check_invariants = false;
-
-  /// Pothen-Fan fairness: alternate adjacency scan direction per phase.
-  bool pf_fairness = true;
-
-  /// Push-relabel tuning (paper Sec. V-A follows Langguth et al.:
-  /// queue limit 500; relabel frequency 2 serial, 16 at 40 threads).
-  int pr_queue_limit = 500;
-  int pr_relabel_frequency = 2;
-
-  /// Thread pinning policy (paper: compact via GOMP_CPU_AFFINITY).
-  PinPolicy pin = PinPolicy::kNone;
 
   /// Seed for any tie-breaking randomness an algorithm may use.
   std::uint64_t seed = 1;
@@ -251,8 +241,9 @@ struct RunStats {
   std::int64_t initial_cardinality = 0;
   std::int64_t final_cardinality = 0;
 
-  /// OpenMP threads the run's parallel regions used (1 for the serial
-  /// algorithms). Stamped by the engine's StatsSink.
+  /// OpenMP threads the run's parallel regions used: the solve's
+  /// solve_width() (1 for the serial algorithms). Stamped by the
+  /// engine's StatsSink.
   int threads_used = 0;
 
   double seconds = 0.0;  ///< total wall time of the matching run

@@ -29,8 +29,9 @@ DynamicMatcher::DynamicMatcher(SessionContext& session, BipartiteGraph base,
   // The initial solve. Not counted as a staleness re-solve: the
   // `resolves` counter measures churn-triggered work.
   const SessionScope scope(*session_);
-  engine::run(*session_, config_.solver, config_.initializer,
-              overlay_.base(), matching_, config_.run);
+  solve_threads_ = engine::run(*session_, config_.solver, config_.initializer,
+                               overlay_.base(), matching_, config_.run)
+                       .threads_used;
   cardinality_ = matching_.cardinality();
   edges_at_resolve_ = overlay_.live_edges();
   if (config_.check_invariants) audit();
@@ -310,8 +311,9 @@ void DynamicMatcher::full_resolve() {
     ++counters_.compactions;
   }
   Matching fresh(overlay_.num_x(), overlay_.num_y());
-  engine::run(*session_, config_.solver, config_.initializer,
-              overlay_.base(), fresh, config_.run);
+  solve_threads_ = engine::run(*session_, config_.solver, config_.initializer,
+                               overlay_.base(), fresh, config_.run)
+                       .threads_used;
   matching_ = std::move(fresh);
   cardinality_ = matching_.cardinality();
   churn_since_resolve_ = 0;
@@ -375,7 +377,7 @@ RunStats DynamicMatcher::stats() const {
   stats.final_cardinality = cardinality_;
   stats.augmentations = counters_.reaugment_paths;
   stats.total_path_edges = 0;
-  stats.threads_used = std::max(config_.run.threads, 1);
+  stats.threads_used = solve_threads_;
   stats.seconds = counters_.apply_seconds;
   stats.dynamic = counters_;
   stats.dynamic.collected = true;

@@ -149,8 +149,8 @@ class DynamicMatcher {
   void resolve();
 
   /// Lifetime-cumulative stats: algorithm "dynamic+<solver>", the
-  /// current cardinality, and the `dynamic` counter block (strict-JSON
-  /// clean through run_stats_json).
+  /// current cardinality, the width of the last full solve, and the
+  /// `dynamic` counter block (strict-JSON clean through run_stats_json).
   RunStats stats() const;
 
  private:
@@ -182,6 +182,8 @@ class DynamicMatcher {
   std::int64_t churn_since_resolve_ = 0;
   std::int64_t edges_at_resolve_ = 0;
   int failure_streak_ = 0;
+  /// Width of the last full solve (its RunStats::threads_used).
+  int solve_threads_ = 1;
 
   /// Serial-BFS scratch, epoch-invalidated per search (no O(n) clear).
   EpochStamps visited_x_;

@@ -12,11 +12,11 @@
 #include "graftmatch/baselines/ss_bfs.hpp"
 #include "graftmatch/baselines/ss_dfs.hpp"
 #include "graftmatch/core/ms_bfs_graft.hpp"
+#include "graftmatch/engine/stats_sink.hpp"
 #include "graftmatch/init/greedy.hpp"
 #include "graftmatch/init/karp_sipser.hpp"
 #include "graftmatch/init/parallel_karp_sipser.hpp"
 #include "graftmatch/init/streaming_ks.hpp"
-#include "graftmatch/obs/summary.hpp"
 #include "graftmatch/obs/trace.hpp"
 #include "graftmatch/reduce/reduce.hpp"
 #include "graftmatch/runtime/parallel.hpp"
@@ -187,11 +187,11 @@ Matching make_initial_matching(SessionContext& session,
                                const BipartiteGraph& g,
                                const RunConfig& config) {
   const InitializerInfo& init = find_initializer(name);
-  // RunConfig::threads must bind for every initializer, including any
+  // The solve's width must bind for every initializer, including any
   // future one that opens regions without plumbing an explicit thread
   // argument (parallel_karp_sipser takes one, but the guard makes the
   // contract hold registry-wide).
-  const ThreadCountGuard guard(config.threads);
+  const ThreadCountGuard guard(solve_width(g.num_edges(), config.threads));
   return init.make(session, g, config);
 }
 
@@ -200,28 +200,6 @@ Matching make_initial_matching(const std::string& name,
                                const RunConfig& config) {
   return make_initial_matching(ambient_session(), name, g, config);
 }
-
-namespace {
-
-/// Close the session's owned trace run and stamp the distilled counters.
-void distill_obs(SessionContext& session, RunStats& stats) {
-  session.trace().end_run();
-  const obs::TraceSummary summary =
-      obs::summarize(session.trace().last_run());
-  ObsCounters& o = stats.obs;
-  o.collected = true;
-  o.events = summary.events;
-  o.dropped = summary.dropped;
-  o.levels = summary.levels;
-  o.bottom_up_levels = summary.bottom_up_levels;
-  o.direction_switches = summary.direction_switches;
-  o.grafts = summary.grafts;
-  o.rebuilds = summary.rebuilds;
-  o.frontier_peak = summary.frontier_peak;
-  o.frontier_volume = summary.frontier_volume;
-}
-
-}  // namespace
 
 RunStats run(SessionContext& session, const std::string& solver_name,
              const std::string& initializer_name, const BipartiteGraph& g,
@@ -238,7 +216,7 @@ RunStats run(SessionContext& session, const std::string& solver_name,
   // StatsSink records into this run instead of opening its own, and the
   // distilled counters are stamped here.
   const SessionScope scope(session);
-  const ThreadCountGuard guard(config.threads);
+  const ThreadCountGuard guard(solve_width(g.num_edges(), config.threads));
   const std::string trace_name = "reduce+" + solver.name;
   const bool owns_trace =
       session.trace().begin_run(trace_name.c_str(), omp_get_max_threads());

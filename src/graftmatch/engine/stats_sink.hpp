@@ -34,6 +34,25 @@
 
 namespace graftmatch::engine {
 
+/// Closes the trace run `session` owns and stamps the counters distilled
+/// from it into `stats.obs` (for StatsSink's runs and engine::run's).
+inline void distill_obs(SessionContext& session, RunStats& stats) {
+  session.trace().end_run();
+  const obs::TraceSummary summary =
+      obs::summarize(session.trace().last_run());
+  ObsCounters& o = stats.obs;
+  o.collected = true;
+  o.events = summary.events;
+  o.dropped = summary.dropped;
+  o.levels = summary.levels;
+  o.bottom_up_levels = summary.bottom_up_levels;
+  o.direction_switches = summary.direction_switches;
+  o.grafts = summary.grafts;
+  o.rebuilds = summary.rebuilds;
+  o.frontier_peak = summary.frontier_peak;
+  o.frontier_volume = summary.frontier_volume;
+}
+
 /// Step categories of StepSeconds (Fig. 6), in field order.
 enum class Step { kTopDown, kBottomUp, kAugment, kGraft, kStatistics };
 
@@ -42,8 +61,8 @@ class StatsSink {
   /// Stamps the run header into `stats` and starts the run timer; the
   /// trace run, the region-epoch snapshot, and the width probe all
   /// target `session`, so concurrent sessions fill disjoint RunStats.
-  /// Construct AFTER any ThreadCountGuard so `parallel` solvers record
-  /// the thread count their regions will actually use.
+  /// Construct AFTER the solve's ThreadCountGuard so `parallel` solvers
+  /// record the solve_width() their regions will actually use.
   StatsSink(SessionContext& session, RunStats& stats, std::string algorithm,
             const Matching& initial, bool parallel)
       : stats_(stats),
@@ -128,22 +147,7 @@ class StatsSink {
       if (granted > 0) stats_.threads_used = granted;
     }
 
-    if (owns_trace_) {
-      session_.trace().end_run();
-      const obs::TraceSummary summary =
-          obs::summarize(session_.trace().last_run());
-      ObsCounters& o = stats_.obs;
-      o.collected = true;
-      o.events = summary.events;
-      o.dropped = summary.dropped;
-      o.levels = summary.levels;
-      o.bottom_up_levels = summary.bottom_up_levels;
-      o.direction_switches = summary.direction_switches;
-      o.grafts = summary.grafts;
-      o.rebuilds = summary.rebuilds;
-      o.frontier_peak = summary.frontier_peak;
-      o.frontier_volume = summary.frontier_volume;
-    }
+    if (owns_trace_) distill_obs(session_, stats_);
   }
 
  private:

@@ -83,7 +83,7 @@
 #include "graftmatch/dm/dulmage_mendelsohn.hpp"
 
 // Runtime utilities
-#include "graftmatch/runtime/affinity.hpp"
 #include "graftmatch/runtime/cli.hpp"
+#include "graftmatch/runtime/parallel.hpp"
 #include "graftmatch/runtime/system_info.hpp"
 #include "graftmatch/runtime/timer.hpp"

@@ -30,7 +30,7 @@ bool try_match(std::vector<vid_t>& mate_x, std::vector<vid_t>& mate_y,
 
 Matching parallel_karp_sipser(const BipartiteGraph& g, std::uint64_t seed,
                               int threads) {
-  const ThreadCountGuard guard(threads);
+  const ThreadCountGuard guard(solve_width(g.num_edges(), threads));
   const vid_t nx = g.num_x();
   const vid_t ny = g.num_y();
   Matching matching(nx, ny);

@@ -16,7 +16,8 @@
 
 namespace graftmatch {
 
-/// Parallel Karp-Sipser. `threads <= 0` keeps the OpenMP default.
+/// Parallel Karp-Sipser, solve_width(edges, threads) threads wide
+/// (`threads <= 0` caps at the OpenMP default).
 Matching parallel_karp_sipser(const BipartiteGraph& g, std::uint64_t seed = 1,
                               int threads = 0);
 

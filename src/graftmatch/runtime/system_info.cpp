@@ -62,8 +62,7 @@ std::string openmp_version_string() {
 SystemInfo query_system_info() {
   SystemInfo info;
   info.cpu_model = detect_cpu_model();
-  const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
-  info.logical_cpus = cpus > 0 ? static_cast<int>(cpus) : 1;
+  info.logical_cpus = omp_get_num_procs();
   const long pages = sysconf(_SC_PHYS_PAGES);
   const long page_size = sysconf(_SC_PAGESIZE);
   if (pages > 0 && page_size > 0) {

@@ -9,7 +9,7 @@ namespace graftmatch {
 
 struct SystemInfo {
   std::string cpu_model;       ///< from /proc/cpuinfo, or "unknown"
-  int logical_cpus = 0;        ///< online logical CPUs
+  int logical_cpus = 0;        ///< omp_get_num_procs(): CPUs in the mask
   std::int64_t total_ram_mb = 0;
   std::string compiler;        ///< compiler id + version baked at build time
   int openmp_max_threads = 0;  ///< omp_get_max_threads() at query time

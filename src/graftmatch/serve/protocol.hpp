@@ -41,10 +41,10 @@ struct MatchRequest {
   std::string graph;
   std::string solver = "graft";
   std::string initializer = "ks";
-  /// OpenMP width for this request's solver regions; <= 0 uses the
-  /// server's configured per-request default. The server clamps the
-  /// width to [1, omp_get_num_procs()]; a wire value outside `int`
-  /// range is a decode error.
+  /// Cap on this request's solver width; <= 0 uses the server's
+  /// configured per-request default. The server clamps the cap to
+  /// [1, omp_get_num_procs()] and the solve runs solve_width() wide
+  /// under it; a wire value outside `int` range is a decode error.
   int threads = 0;
   std::string reduce = "none";  ///< ReduceMode key (run_stats.hpp)
   std::string kernel = "bit";    ///< BottomUpKernel key
@@ -73,7 +73,7 @@ struct MatchResponse {
   std::int64_t maximum = 0;      ///< roster oracle (load-time Hopcroft-Karp)
   double seconds = 0.0;          ///< solver wall time, server-side
   std::uint64_t session = 0;     ///< id of the session that served it
-  int threads = 0;               ///< solver width actually used
+  int threads = 0;  ///< solver width actually used (RunStats::threads_used)
   /// Number of requests this response's solve answered, requests that
   /// joined it while it ran included (1 = served alone).
   int batch = 1;

@@ -285,11 +285,11 @@ MatchResponse MatchServer::handle(SessionContext& session,
     return response;
   }
   // The width comes off the wire: clamp it so a client cannot ask the
-  // OpenMP runtime for more threads than the machine has cores.
+  // OpenMP runtime for more threads than the machine has cores. It is a
+  // cap; the solve picks its own width under it (solve_width).
   config.threads = std::clamp(
       request.threads > 0 ? request.threads : options_.solver_threads, 1,
       omp_get_num_procs());
-  response.threads = config.threads;
 
   const std::size_t entry_index =
       static_cast<std::size_t>(entry - roster_.entries().data());
@@ -307,6 +307,7 @@ MatchResponse MatchServer::handle(SessionContext& session,
                      stats.final_cardinality);
 
   response.cardinality = stats.final_cardinality;
+  response.threads = stats.threads_used;
   response.seconds = stats.seconds;
   if (options_.check_cardinality &&
       stats.final_cardinality != entry->maximum_cardinality) {

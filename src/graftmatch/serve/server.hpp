@@ -89,8 +89,8 @@ struct ServerOptions {
   /// Admission bound: requests queued but not yet picked up. Full queue
   /// => reject.
   std::size_t queue_capacity = 64;
-  /// Default per-request solver width when MatchRequest::threads <= 0.
-  /// Every width is clamped to [1, omp_get_num_procs()].
+  /// Default per-request solver width cap when MatchRequest::threads
+  /// <= 0. Every cap is clamped to [1, omp_get_num_procs()].
   int solver_threads = 1;
   /// Start workers in the constructor. Tests set false to fill the
   /// queue deterministically before anything drains it.

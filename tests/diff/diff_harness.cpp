@@ -1,11 +1,11 @@
 #include "diff_harness.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "test_widths.hpp"
 
 namespace graftmatch::diff {
 namespace {
@@ -153,6 +153,32 @@ std::vector<Instance> build_corpus(std::uint64_t master_seed) {
     add("web", generate_webcrawl(params), seed);
   }
 
+  // Wide: each grown until the widest roster arm runs kRosterWidth wide.
+  {
+    const std::uint64_t s0 = seeds.next();
+    add("wide", graph_for_width(kRosterWidth, [&](int k) {
+          return generate_rmat({.scale = 10 + k, .edge_factor = 8.0,
+                                .seed = s0});
+        }), s0);
+    const std::uint64_t s1 = seeds.next();
+    add("wide", graph_for_width(kRosterWidth, [&](int k) {
+          return generate_chung_lu({.nx = 2500 * k, .ny = 2500 * k,
+                                    .avg_degree = 6.0, .gamma = 2.2,
+                                    .max_degree = 128, .seed = s1});
+        }), s1);
+    const std::uint64_t s2 = seeds.next();
+    add("wide", graph_for_width(kRosterWidth, [&](int k) {
+          return generate_webcrawl({.nx = 4000 * k, .ny = 4000 * k,
+                                    .avg_degree = 5.0, .hub_count = 32,
+                                    .seed = s2});
+        }), s2);
+    const std::uint64_t s3 = seeds.next();
+    PlantedGraph planted = generate_planted(
+        {.matched_pairs = 6000, .surplus_rows = 64, .bottleneck = 16,
+         .noise_degree = 4.0, .seed = s3});
+    add("wide", std::move(planted.graph), s3, planted.maximum_cardinality);
+  }
+
   return corpus;
 }
 
@@ -162,19 +188,12 @@ std::vector<Instance> build_corpus(std::uint64_t master_seed) {
 
 namespace {
 
-std::vector<int> default_thread_counts() {
-  std::vector<int> counts{1, 2, 4, omp_get_max_threads()};
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  return counts;
-}
-
 using InitFn = std::function<Matching(const BipartiteGraph&)>;
 
 }  // namespace
 
 std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
-  if (thread_counts.empty()) thread_counts = default_thread_counts();
+  if (thread_counts.empty()) thread_counts = {1, 2, kRosterWidth};
   const int max_threads = thread_counts.back();
 
   std::vector<SolverSpec> roster;
@@ -199,14 +218,15 @@ std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
         std::ostringstream name;
         name << "msbfs[do=" << dir_opt << ",graft=" << graft
              << ",t=" << threads << ",init=ks]";
-        roster.push_back({name.str(), [=](const BipartiteGraph& g) {
+        roster.push_back({name.str(), threads,
+                          [=](const BipartiteGraph& g, RunStats& stats) {
                             Matching m = init_ks(g);
                             RunConfig config;
                             config.threads = threads;
                             config.direction_optimizing = dir_opt;
                             config.tree_grafting = graft;
                             config.check_invariants = true;
-                            graft_run(g, m, config);
+                            stats = graft_run(g, m, config);
                             return m;
                           }});
       }
@@ -223,20 +243,21 @@ std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
     const std::string init_name = init.name;
     roster.push_back({"graft[t=" + std::to_string(max_threads) +
                           ",init=" + init_name + "]",
-                      [=](const BipartiteGraph& g) {
+                      max_threads,
+                      [=](const BipartiteGraph& g, RunStats& stats) {
                         RunConfig config;
                         config.threads = max_threads;
                         config.seed = 7;
                         Matching m =
                             engine::make_initial_matching(init_name, g, config);
                         config.check_invariants = true;
-                        graft_run(g, m, config);
+                        stats = graft_run(g, m, config);
                         return m;
                       }});
   }
 
   // Every registered solver from the same Karp-Sipser start: parallel
-  // solvers serial and at max threads, serial solvers once. Iterating
+  // solvers serial and at the widest width, serial solvers once. Iterating
   // the registry (instead of a hand-maintained list) means registering
   // a solver is all it takes to put it under the oracle.
   for (const auto& solver : engine::solver_registry()) {
@@ -257,11 +278,12 @@ std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
           solver.parallel
               ? solver.name + "[t=" + std::to_string(threads) + ",init=ks]"
               : solver.name + "[init=ks]";
-      roster.push_back({name, [=](const BipartiteGraph& g) {
+      roster.push_back({name, threads,
+                        [=](const BipartiteGraph& g, RunStats& stats) {
                           Matching m = init_ks(g);
                           RunConfig config;
                           config.threads = threads;
-                          run(g, m, config);
+                          stats = run(g, m, config);
                           return m;
                         }});
     }
@@ -283,13 +305,14 @@ std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
             ? solver.name + "[t=" + std::to_string(threads) +
                   ",init=streaming_ks]"
             : solver.name + "[init=streaming_ks]";
-    roster.push_back({name, [=](const BipartiteGraph& g) {
+    roster.push_back({name, threads,
+                      [=](const BipartiteGraph& g, RunStats& stats) {
                         RunConfig config;
                         config.threads = threads;
                         config.seed = 11;
                         Matching m = engine::make_initial_matching(
                             "streaming_ks", g, config);
-                        run(g, m, config);
+                        stats = run(g, m, config);
                         return m;
                       }});
   }
@@ -305,14 +328,15 @@ std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts) {
     const int threads = solver.parallel ? max_threads : 0;
     roster.push_back({"engine+d1+" + solver_name + "[t=" +
                           std::to_string(threads) + ",init=ks]",
-                      [=](const BipartiteGraph& g) {
+                      threads,
+                      [=](const BipartiteGraph& g, RunStats& stats) {
                         RunConfig config;
                         config.threads = threads;
                         config.seed = 7;
                         config.reduce = ReduceMode::kDegree1;
                         config.check_invariants = true;
                         Matching m;
-                        engine::run(solver_name, "ks", g, m, config);
+                        stats = engine::run(solver_name, "ks", g, m, config);
                         return m;
                       }});
   }
@@ -381,8 +405,9 @@ std::vector<Discrepancy> run_differential(
 
   for (const SolverSpec& solver : roster) {
     Matching matching;
+    RunStats stats;
     try {
-      matching = solver.run(instance.graph);
+      matching = solver.run(instance.graph, stats);
     } catch (const std::exception& e) {
       report(solver.name, std::string("threw: ") + e.what());
       continue;
@@ -419,6 +444,21 @@ std::vector<Discrepancy> run_differential(
       detail << "cardinality " << cardinality << " != " << reference
              << " from " << reference_solver;
       report(solver.name, detail.str());
+    }
+
+    // (d) the solve ran as wide as solve_width() grants the graph it
+    // solved (the kernel, when engine::run reduced it).
+    if (solver.threads > 0) {
+      const std::int64_t edges = stats.reduce.collected
+                                     ? stats.reduce.kernel_edges
+                                     : instance.graph.num_edges();
+      const int width = solve_width(edges, solver.threads);
+      if (stats.threads_used != width) {
+        std::ostringstream detail;
+        detail << "ran " << stats.threads_used << " wide; solve_width("
+               << edges << ", " << solver.threads << ") = " << width;
+        report(solver.name, detail.str());
+      }
     }
   }
   return found;

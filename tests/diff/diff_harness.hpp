@@ -35,22 +35,32 @@ struct Instance {
   std::int64_t known_maximum = -1;  ///< exact optimum, or -1 if unknown
 };
 
+/// Widest team the default roster asks for.
+inline constexpr int kRosterWidth = 4;
+
 /// Seeded corpus spanning every generator family (ER, RMAT, Chung-Lu,
 /// grid, road, planted, SBM, webcrawl); >= 30 instances, sized so the
-/// full differential sweep stays in test-suite time.
+/// full differential sweep stays in test-suite time. Those families are
+/// below the solve_width() grain, so their solves run one or two wide;
+/// the "wide" family (RMAT, Chung-Lu, planted, webcrawl) is large enough
+/// that every roster arm runs as wide as it asks (kRosterWidth).
 std::vector<Instance> build_corpus(std::uint64_t master_seed);
 
 /// A named solver configuration: produces a final matching from a graph.
 struct SolverSpec {
   std::string name;
-  std::function<Matching(const BipartiteGraph&)> run;
+  /// Team width the configuration asks for; 0 for a serial solver.
+  int threads = 0;
+  /// Solves a graph from scratch and fills `stats` with the solve's
+  /// RunStats.
+  std::function<Matching(const BipartiteGraph&, RunStats& stats)> run;
 };
 
 /// The full roster: MS-BFS-Graft across thread counts x {direction
 /// optimization, tree grafting} ablations x initializers (greedy,
 /// Karp-Sipser, parallel Karp-Sipser), plus the five baselines
 /// (Hopcroft-Karp, Pothen-Fan, push-relabel, SS-BFS, SS-DFS).
-/// `thread_counts` defaults to {1, 2, 4, omp_max} (deduplicated).
+/// `thread_counts` defaults to {1, 2, kRosterWidth}.
 std::vector<SolverSpec> solver_roster(std::vector<int> thread_counts = {});
 
 /// One verification failure. `detail` is human-readable; `repro_dir` is
@@ -68,8 +78,10 @@ struct DiffOptions {
   std::uint64_t master_seed = 0;   ///< recorded in reproducers
 };
 
-/// Run every roster solver on `instance` and cross-check. Returns all
-/// discrepancies found (empty == instance fully agrees and certifies).
+/// Run every roster solver on `instance` and cross-check; each solver
+/// that asks for a width must also report the solve_width() of the
+/// graph it solved. Returns all discrepancies found (empty == instance
+/// fully agrees and certifies).
 std::vector<Discrepancy> run_differential(const Instance& instance,
                                           const DiffOptions& options = {});
 

@@ -70,9 +70,20 @@ TEST_F(Differential, CorpusIsLargeEnoughAndNamed) {
     EXPECT_GT(instance.graph.num_x(), 0) << instance.name;
     EXPECT_GT(instance.graph.num_edges(), 0) << instance.name;
   }
-  const std::set<std::string> expected = {"er",   "rmat",    "cl",  "grid",
-                                          "road", "planted", "sbm", "web"};
+  const std::set<std::string> expected = {"er",      "rmat", "cl",
+                                          "grid",    "road", "planted",
+                                          "sbm",     "web",  "wide"};
   EXPECT_EQ(families, expected);
+}
+
+TEST_F(Differential, WideInstancesGrantTheWidestArm) {
+  for (const Instance& instance : corpus()) {
+    if (instance.family != "wide") continue;
+    EXPECT_EQ(solve_width(instance.graph.num_edges(), kRosterWidth),
+              kRosterWidth)
+        << instance.name << " has " << instance.graph.num_edges()
+        << " edges";
+  }
 }
 
 TEST_F(Differential, CorpusIsDeterministicGivenMasterSeed) {
@@ -93,6 +104,7 @@ TEST_F(Differential, Road) { run_family("road"); }
 TEST_F(Differential, Planted) { run_family("planted"); }
 TEST_F(Differential, Sbm) { run_family("sbm"); }
 TEST_F(Differential, Webcrawl) { run_family("web"); }
+TEST_F(Differential, Wide) { run_family("wide"); }
 
 TEST_F(Differential, HarnessCatchesPlantedSubMaximumSolver) {
   // Self-test: a deliberately broken "solver" that drops one matched
@@ -105,7 +117,7 @@ TEST_F(Differential, HarnessCatchesPlantedSubMaximumSolver) {
   ASSERT_NE(planted, nullptr);
 
   std::vector<SolverSpec> roster = {
-      {"broken-drops-one-edge", [](const BipartiteGraph& g) {
+      {"broken-drops-one-edge", 0, [](const BipartiteGraph& g, RunStats&) {
          Matching m = karp_sipser(g, 7);
          hopcroft_karp(g, m);
          for (vid_t x = 0; x < m.num_x(); ++x) {

@@ -32,6 +32,7 @@
 #include "graftmatch/runtime/prng.hpp"
 #include "graftmatch/verify/koenig.hpp"
 #include "graftmatch/verify/validate.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -49,13 +50,6 @@ class StressEnvironment : public ::testing::Environment {
 [[maybe_unused]] const auto* const kEnv =
     ::testing::AddGlobalTestEnvironment(new StressEnvironment);
 
-/// Random thread count in [1, 2 * hardware max]: oversubscription forces
-/// preemption inside parallel regions, the cheapest scheduling fuzzer.
-int random_thread_count(Xoshiro256& rng) {
-  const int hw = omp_get_num_procs();
-  return 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * hw)));
-}
-
 TEST(ConcurrencyStress, FrontierQueueConcurrentProducersLoseNothing) {
   // Satellite check: thread-private buffers flushing into the shared
   // array at phase boundaries must neither lose nor duplicate vertices,
@@ -64,7 +58,7 @@ TEST(ConcurrencyStress, FrontierQueueConcurrentProducersLoseNothing) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
-    const int threads = random_thread_count(rng);
+    const int threads = random_width(rng);
     // Uneven loads: ~half the producers push far more than the rest,
     // and counts are not multiples of the local buffer capacity.
     const int items = 20000 + static_cast<int>(rng.below(50000));
@@ -99,7 +93,7 @@ TEST(ConcurrencyStress, AtomicBitmapClaimsAreExactlyOnce) {
   for (int trial = 0; trial < 30; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
-    const int threads = random_thread_count(rng);
+    const int threads = random_width(rng);
     const int flags_count = 5000 + static_cast<int>(rng.below(20000));
     std::vector<std::uint8_t> flags(static_cast<std::size_t>(flags_count), 0);
     std::int64_t claims = 0;
@@ -127,7 +121,7 @@ TEST(ConcurrencyStress, CasTreeOwnershipHasUniqueWinners) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
-    const int threads = random_thread_count(rng);
+    const int threads = random_width(rng);
     const int vertices = 4000 + static_cast<int>(rng.below(12000));
     std::vector<vid_t> parent(static_cast<std::size_t>(vertices),
                               kInvalidVertex);
@@ -164,14 +158,18 @@ TEST(ConcurrencyStress, ParallelKarpSipserStaysMaximalAndValid) {
   for (int trial = 0; trial < 12; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
-    const int threads = random_thread_count(rng);
-    ErdosRenyiParams params;
-    params.nx = 1500;
-    params.ny = 1400;
-    params.edges = 7000;
-    params.seed = seed;
-    const BipartiteGraph g = generate_erdos_renyi(params);
+    const int threads = random_width(rng);
+    const BipartiteGraph g = wide_graph([&](int k) {
+      ErdosRenyiParams params;
+      params.nx = 1500 * k;
+      params.ny = 1400 * k;
+      params.edges = 7000 * k;
+      params.seed = seed;
+      return generate_erdos_renyi(params);
+    });
+    last_team_width().store(-1);
     const Matching m = parallel_karp_sipser(g, seed, threads);
+    ASSERT_EQ(last_team_width().load(), threads) << "trial seed " << seed;
     ASSERT_EQ(validate_matching(g, m), "") << "trial seed " << seed;
     ASSERT_TRUE(is_maximal_matching(g, m))
         << "trial seed " << seed << " threads " << threads;
@@ -180,6 +178,7 @@ TEST(ConcurrencyStress, ParallelKarpSipserStaysMaximalAndValid) {
 
 // Same seed -> same cardinality, across 50 trials with a fresh random
 // thread count each trial, against a serial Hopcroft-Karp reference.
+// The graphs are above wide_edges(), so each trial runs at its draw.
 // This is the paper's determinism claim for MS-BFS-Graft (the matching
 // itself may differ run to run; its cardinality may not).
 void determinism_trials(const BipartiteGraph& g, const char* label) {
@@ -192,12 +191,14 @@ void determinism_trials(const BipartiteGraph& g, const char* label) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
     RunConfig config;
-    config.threads = random_thread_count(rng);
+    config.threads = random_width(rng);
     config.direction_optimizing = rng.below(2) == 0;
     config.tree_grafting = rng.below(2) == 0;
     config.seed = 11;  // fixed algorithm seed: cardinality must not move
     Matching m = karp_sipser(g, 11);
-    ms_bfs_graft(g, m, config);
+    const RunStats stats = ms_bfs_graft(g, m, config);
+    ASSERT_EQ(stats.threads_used, config.threads)
+        << label << " trial " << trial << " seed " << seed;
     ASSERT_EQ(validate_matching(g, m), "")
         << label << " trial " << trial << " seed " << seed;
     ASSERT_EQ(m.cardinality(), reference)
@@ -210,34 +211,40 @@ void determinism_trials(const BipartiteGraph& g, const char* label) {
 }
 
 TEST(ConcurrencyStress, MsBfsGraftCardinalityDeterministic50TrialsRmat) {
-  RmatParams params;
-  params.scale = 10;
-  params.edge_factor = 8.0;
-  params.seed = 42;
-  determinism_trials(generate_rmat(params), "rmat");
+  determinism_trials(wide_graph([](int k) {
+    RmatParams params;
+    params.scale = 9 + k;
+    params.edge_factor = 8.0;
+    params.seed = 42;
+    return generate_rmat(params);
+  }), "rmat");
 }
 
 TEST(ConcurrencyStress, MsBfsGraftCardinalityDeterministic50TrialsWeb) {
-  WebCrawlParams params;
-  params.nx = 1200;
-  params.ny = 1200;
-  params.stub_fraction = 0.6;
-  params.hub_count = 48;
-  params.seed = 42;
-  determinism_trials(generate_webcrawl(params), "web");
+  determinism_trials(wide_graph([](int k) {
+    WebCrawlParams params;
+    params.nx = 1200 * k;
+    params.ny = 1200 * k;
+    params.stub_fraction = 0.6;
+    params.hub_count = 48 * k;
+    params.seed = 42;
+    return generate_webcrawl(params);
+  }), "web");
 }
 
 TEST(ConcurrencyStress, FullEngineUnderOversubscriptionCertifies) {
   // End-to-end: heavy-tailed graph, maximum oversubscription, invariant
   // auditing on. Any dropped augmenting path fails the Koenig check.
-  ChungLuParams params;
-  params.nx = 2000;
-  params.ny = 2000;
-  params.avg_degree = 7.0;
-  params.gamma = 2.0;
-  params.max_degree = 256;
-  params.seed = 5;
-  const BipartiteGraph g = generate_chung_lu(params);
+  const BipartiteGraph g = wide_graph([](int k) {
+    ChungLuParams params;
+    params.nx = 2000 * k;
+    params.ny = 2000 * k;
+    params.avg_degree = 7.0;
+    params.gamma = 2.0;
+    params.max_degree = 256;
+    params.seed = 5;
+    return generate_chung_lu(params);
+  });
   std::uint64_t stream = kMasterSeed ^ 0xF11;
   for (int trial = 0; trial < 8; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
@@ -246,7 +253,8 @@ TEST(ConcurrencyStress, FullEngineUnderOversubscriptionCertifies) {
     config.threads = 2 * omp_get_num_procs();
     config.check_invariants = true;
     Matching m = parallel_karp_sipser(g, seed, config.threads);
-    ms_bfs_graft(g, m, config);
+    const RunStats stats = ms_bfs_graft(g, m, config);
+    ASSERT_EQ(stats.threads_used, config.threads) << "trial seed " << seed;
     ASSERT_TRUE(is_maximum_matching(g, m)) << "trial seed " << seed;
   }
 }

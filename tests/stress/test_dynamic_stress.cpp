@@ -15,7 +15,6 @@
 // prints it on failure so CI logs are enough to replay the schedule's
 // inputs.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <atomic>
 #include <string>
@@ -30,6 +29,7 @@
 #include "graftmatch/runtime/atomics.hpp"
 #include "graftmatch/runtime/context.hpp"
 #include "graftmatch/runtime/prng.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -43,11 +43,6 @@ class StressEnvironment : public ::testing::Environment {
 };
 [[maybe_unused]] const auto* const kEnv =
     ::testing::AddGlobalTestEnvironment(new StressEnvironment);
-
-int random_width(Xoshiro256& rng) {
-  const int hw = omp_get_num_procs();
-  return 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * hw)));
-}
 
 std::int64_t hk_cardinality(const BipartiteGraph& g) {
   Matching m(g.num_x(), g.num_y());
@@ -77,18 +72,22 @@ TEST(DynamicStress, ConcurrentMatchersChurnIsolated) {
       else if (s % 3 == 1) session.clear_yield_period();
       else session.set_yield_period(0);
 
+      // Above wide_edges() by more than the churn removes (<= 672), so
+      // every re-solve runs at the drawn width; ~5 edges per row.
       ErdosRenyiParams params;
-      params.nx = 300 + 40 * s;
-      params.ny = 280 + 30 * s;
-      params.edges = 1500 + 100 * s;
+      params.edges = wide_edges() + 1000 + 100 * s;
+      params.nx = static_cast<vid_t>(params.edges / 5);
+      params.ny = params.nx - 20;
       params.seed = kMasterSeed + static_cast<std::uint64_t>(s);
       const BipartiteGraph g = generate_erdos_renyi(params);
 
       dynamic::DynamicConfig config;
-      // Low staleness threshold: most trials cross it, so the engine
-      // re-solve (the parallel region under test) fires repeatedly.
-      config.staleness_delta_fraction = 0.02;
-      config.compact_fraction = 0.1;
+      // Low staleness threshold (~30 edges of churn): most trials cross
+      // it, so the engine re-solve (the parallel region under test)
+      // fires repeatedly. Compaction at ~150 edges of overlay.
+      const auto edges = static_cast<double>(g.num_edges());
+      config.staleness_delta_fraction = 30.0 / edges;
+      config.compact_fraction = 150.0 / edges;
       config.run.threads = random_width(rng);
       config.run.seed = rng();
       dynamic::DynamicMatcher matcher(session, g, config);
@@ -140,10 +139,14 @@ TEST(DynamicStress, ConcurrentMatchersChurnIsolated) {
         }
       }
       const RunStats stats = matcher.stats();
-      if (!stats.dynamic.collected || stats.dynamic.batches != kBatches) {
+      if (!stats.dynamic.collected || stats.dynamic.batches != kBatches ||
+          stats.dynamic.resolves == 0 ||
+          stats.threads_used != config.run.threads) {
         wrong.fetch_add(1);
         failures[si] = "dynamic counters wrong: batches=" +
-                       std::to_string(stats.dynamic.batches);
+                       std::to_string(stats.dynamic.batches) + " resolves=" +
+                       std::to_string(stats.dynamic.resolves) + " width=" +
+                       std::to_string(stats.threads_used);
       }
     });
   }
@@ -161,12 +164,14 @@ TEST(DynamicStress, ChurnBesideForegroundSolves) {
   constexpr int kSolvers = 2;
 
   ErdosRenyiParams params;
-  params.nx = 400;
-  params.ny = 380;
-  params.edges = 2000;
+  params.edges = wide_edges() + 1000;  // the churn removes up to 24
+  params.nx = static_cast<vid_t>(params.edges / 5);
+  params.ny = params.nx - 20;
   params.seed = kMasterSeed;
   const BipartiteGraph shared = generate_erdos_renyi(params);
   const std::int64_t oracle = hk_cardinality(shared);
+  // The engine re-solves after ~100 edges of churn (two steps).
+  const double staleness = 100.0 / static_cast<double>(shared.num_edges());
 
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
@@ -175,7 +180,7 @@ TEST(DynamicStress, ChurnBesideForegroundSolves) {
       Xoshiro256 rng(kMasterSeed ^ static_cast<std::uint64_t>(0x99 + s));
       SessionContext session;
       dynamic::DynamicConfig config;
-      config.staleness_delta_fraction = 0.05;
+      config.staleness_delta_fraction = staleness;
       config.run.threads = random_width(rng);
       dynamic::DynamicMatcher matcher(session, shared, config);
       std::vector<Edge> removed;
@@ -196,6 +201,9 @@ TEST(DynamicStress, ChurnBesideForegroundSolves) {
           return;
         }
       }
+      if (matcher.stats().threads_used != config.run.threads) {
+        wrong.fetch_add(1);
+      }
     });
   }
   for (int s = 0; s < kSolvers; ++s) {
@@ -209,7 +217,8 @@ TEST(DynamicStress, ChurnBesideForegroundSolves) {
         Matching m(shared.num_x(), shared.num_y());
         const RunStats stats =
             engine::run(session, "graft", "rgreedy", shared, m, config);
-        if (stats.final_cardinality != oracle) {
+        if (stats.final_cardinality != oracle ||
+            stats.threads_used != config.threads) {
           wrong.fetch_add(1);
           return;
         }

@@ -13,7 +13,6 @@
 // prints it on failure so CI logs are enough to replay the schedule's
 // inputs.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <atomic>
 #include <chrono>
@@ -31,6 +30,7 @@
 #include "graftmatch/runtime/prng.hpp"
 #include "graftmatch/serve/roster.hpp"
 #include "graftmatch/serve/server.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -55,15 +55,16 @@ BipartiteGraph planted(std::uint64_t seed, std::int64_t pairs) {
   return generate_planted(params).graph;
 }
 
-int random_width(Xoshiro256& rng) {
-  const int hw = omp_get_num_procs();
-  return 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * hw)));
+// ~4 edges per pair: every drawn width is granted (wide_edges()).
+BipartiteGraph wide_planted(std::uint64_t seed, std::int64_t extra_pairs) {
+  return planted(seed, wide_edges() / 3 + extra_pairs);
 }
 
 // The core claim under maximum scheduling pressure: S sessions, each on
 // its own host thread with its own width/jitter/trace configuration,
 // repeatedly solving distinct graphs -- every run must reach its own
-// oracle and every armed session must flush its own trace.
+// oracle at the width it drew and every armed session must flush its
+// own trace.
 TEST(SessionStress, ConcurrentSessionsSolveIsolated) {
   constexpr int kSessions = 4;
   constexpr int kRunsPerSession = 6;
@@ -71,9 +72,8 @@ TEST(SessionStress, ConcurrentSessionsSolveIsolated) {
   std::vector<BipartiteGraph> graphs;
   std::vector<std::int64_t> oracles;
   for (int s = 0; s < kSessions; ++s) {
-    graphs.push_back(
-        planted(kMasterSeed + static_cast<std::uint64_t>(s),
-                500 + 60 * s));
+    graphs.push_back(wide_planted(
+        kMasterSeed + static_cast<std::uint64_t>(s), 500 + 60 * s));
     oracles.push_back(maximum_matching_cardinality(graphs.back()));
   }
 
@@ -103,11 +103,13 @@ TEST(SessionStress, ConcurrentSessionsSolveIsolated) {
             engine::run(session, "graft", "rgreedy",
                         graphs[static_cast<std::size_t>(s)], matching,
                         config);
-        if (stats.final_cardinality != oracles[static_cast<std::size_t>(s)]) {
+        if (stats.final_cardinality != oracles[static_cast<std::size_t>(s)] ||
+            stats.threads_used != config.threads) {
           wrong.fetch_add(1);
           failures[static_cast<std::size_t>(s)] =
               "run " + std::to_string(run) + " width " +
-              std::to_string(config.threads) + ": got " +
+              std::to_string(config.threads) + " ran " +
+              std::to_string(stats.threads_used) + " wide: got " +
               std::to_string(stats.final_cardinality) + " want " +
               std::to_string(oracles[static_cast<std::size_t>(s)]);
         }
@@ -141,8 +143,8 @@ TEST(SessionStress, ConcurrentSessionsSolveIsolated) {
 // never bind a session keep using default_session() while bound
 // threads run beside them; both populations must stay correct.
 TEST(SessionStress, BoundAndUnboundThreadsCoexist) {
-  const BipartiteGraph bound_graph = planted(kMasterSeed ^ 0xB0, 450);
-  const BipartiteGraph unbound_graph = planted(kMasterSeed ^ 0xC1, 350);
+  const BipartiteGraph bound_graph = wide_planted(kMasterSeed ^ 0xB0, 450);
+  const BipartiteGraph unbound_graph = wide_planted(kMasterSeed ^ 0xC1, 350);
   const std::int64_t bound_oracle = maximum_matching_cardinality(bound_graph);
   const std::int64_t unbound_oracle =
       maximum_matching_cardinality(unbound_graph);
@@ -163,6 +165,7 @@ TEST(SessionStress, BoundAndUnboundThreadsCoexist) {
         const RunStats stats =
             engine::run(session, "graft", "ks", bound_graph, m, config);
         if (stats.final_cardinality != bound_oracle) wrong.fetch_add(1);
+        if (stats.threads_used != config.threads) wrong.fetch_add(1);
       }
     });
     threads.emplace_back([&, p] {  // unbound: ambient = default session
@@ -173,6 +176,8 @@ TEST(SessionStress, BoundAndUnboundThreadsCoexist) {
         Matching m(unbound_graph.num_x(), unbound_graph.num_y());
         const RunStats stats =
             engine::run("pf", "greedy", unbound_graph, m, config);
+        // No threads_used check: unbound threads share the default
+        // session's width probe, so it may hold a sibling's width.
         if (stats.final_cardinality != unbound_oracle) wrong.fetch_add(1);
       }
     });
@@ -185,11 +190,13 @@ TEST(SessionStress, BoundAndUnboundThreadsCoexist) {
 // every well-formed request must come back with the oracle cardinality
 // regardless of which solver/mode it chose, and malformed ones must
 // come back as error responses while the counters stay consistent.
+// Every graph is above the grain, so width-2 requests run 2 wide.
 TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
+  constexpr std::int64_t kWidePairs = kEdgesPerThread / 3;
   serve::GraphRoster roster;
-  roster.add("alpha", planted(kMasterSeed ^ 0xA1, 420));
-  roster.add("beta", planted(kMasterSeed ^ 0xB2, 360));
-  roster.add("gamma", planted(kMasterSeed ^ 0xC3, 300));
+  roster.add("alpha", planted(kMasterSeed ^ 0xA1, kWidePairs + 420));
+  roster.add("beta", planted(kMasterSeed ^ 0xB2, kWidePairs + 360));
+  roster.add("gamma", planted(kMasterSeed ^ 0xC3, kWidePairs + 300));
 
   serve::ServerOptions options;
   options.workers = 4;
@@ -212,6 +219,7 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
       for (int r = 0; r < kRequestsPerClient; ++r) {
         serve::MatchRequest request;
         const bool malformed = rng.below(8) == 0;
+        int width = 0;  // expected MatchResponse::threads; 0: unchecked
         if (malformed) {
           request.graph = "no-such-graph";
           expected_failures.fetch_add(1);
@@ -221,6 +229,10 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
           request.solver = solvers[rng.below(3)];
           request.reduce = reduces[rng.below(2)];
           request.threads = 1 + static_cast<int>(rng.below(2));
+          // hk is serial; a d1 kernel may fall below the grain.
+          width = request.solver == "hk"       ? 1
+                  : request.reduce == "none" ? request.threads
+                                             : 0;
           // A third of the well-formed requests carry a deadline far
           // beyond any plausible backlog: the deadline bookkeeping runs
           // under load without injecting expiry nondeterminism.
@@ -231,7 +243,11 @@ TEST(SessionStress, MatchServerUnderConcurrentMixedLoad) {
           if (response.ok || response.error.empty()) wrong.fetch_add(1);
         } else if (!response.ok || response.expired ||
                    response.cardinality != response.maximum ||
-                   response.batch < 1 || response.batch > kClients) {
+                   response.batch < 1 || response.batch > kClients ||
+                   response.threads < 1 || response.threads > 2) {
+          wrong.fetch_add(1);
+        } else if (response.batch == 1 && width > 0 &&
+                   response.threads != width) {
           wrong.fetch_add(1);
         }
       }

@@ -30,6 +30,7 @@
 #include "graftmatch/runtime/parallel.hpp"
 #include "graftmatch/runtime/prng.hpp"
 #include "graftmatch/verify/validate.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -49,11 +50,6 @@ class StressEnvironment : public ::testing::Environment {
 [[maybe_unused]] const auto* const kEnv =
     ::testing::AddGlobalTestEnvironment(new StressEnvironment);
 
-int random_thread_count(Xoshiro256& rng) {
-  const int hw = omp_get_num_procs();
-  return 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * hw)));
-}
-
 TEST(WordKernelStress, RacingOverlappingMasksWinEachBitOnce) {
   // Every thread races claim_word over every word with its own random
   // mask. Exactly-once means: summed popcounts of all wins equals the
@@ -64,7 +60,7 @@ TEST(WordKernelStress, RacingOverlappingMasksWinEachBitOnce) {
   for (int trial = 0; trial < 25; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
-    const int threads = random_thread_count(rng);
+    const int threads = random_width(rng);
     const std::size_t width = 65 + static_cast<std::size_t>(rng.below(4031));
     AtomicBitmap bits;
     bits.reset(width);
@@ -112,7 +108,7 @@ TEST(WordKernelStress, MixedWordAndBitGranularityStaysExactlyOnce) {
   for (int trial = 0; trial < 25; ++trial) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
-    const int threads = std::max(2, random_thread_count(rng));
+    const int threads = std::max(2, random_width(rng));
     const std::size_t width = 64 * (8 + static_cast<std::size_t>(rng.below(56)));
     AtomicBitmap bits;
     bits.reset(width);
@@ -205,16 +201,18 @@ TEST(WordKernelStress, WordKernelEngineRunsMatchOracleUnderJitter) {
     const std::uint64_t seed = splitmix64_next(stream);
     Xoshiro256 rng(seed);
     const std::string& name = instances[trial % instances.size()];
-    const BipartiteGraph g =
-        suite_instance(name).factory(0.01, 100 + trial);
+    const BipartiteGraph g = wide_graph([&](int k) {
+      return suite_instance(name).factory(0.01 * k, 100 + trial);
+    });
     const std::int64_t expected = maximum_matching_cardinality(g);
     RunConfig config;
     config.direction_optimizing = rng.below(4) != 0;
     config.alpha = alphas[static_cast<std::size_t>(rng.below(alphas.size()))];
     config.bottom_up_kernel = BottomUpKernel::kWord;
-    config.threads = random_thread_count(rng);
+    config.threads = random_width(rng);
     Matching m = randomized_greedy(g, seed);
     const RunStats stats = ms_bfs_graft(g, m, config);
+    ASSERT_EQ(stats.threads_used, config.threads) << "trial seed " << seed;
     ASSERT_EQ(stats.final_cardinality, expected)
         << name << " trial seed " << seed
         << " dir-opt=" << config.direction_optimizing

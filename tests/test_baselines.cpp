@@ -15,6 +15,7 @@
 #include "graftmatch/gen/erdos_renyi.hpp"
 #include "graftmatch/init/greedy.hpp"
 #include "graftmatch/verify/koenig.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -124,24 +125,25 @@ TEST(PothenFan, SolvesTrapsSerial) {
 TEST(PothenFan, SolvesWithMultipleThreads) {
   RunConfig config;
   config.threads = 4;
-  ChungLuParams params;
-  params.nx = params.ny = 2000;
-  params.avg_degree = 6.0;
-  const BipartiteGraph g = generate_chung_lu(params);
+  const BipartiteGraph g = graph_for_width(4, [](int k) {
+    ChungLuParams params;
+    params.nx = params.ny = 2000 * k;
+    params.avg_degree = 6.0;
+    return generate_chung_lu(params);
+  });
   Matching m = greedy_maximal(g);
-  pothen_fan(g, m, config);
+  EXPECT_EQ(pothen_fan(g, m, config).threads_used, 4);
   EXPECT_TRUE(is_maximum_matching(g, m));
 }
 
 TEST(PothenFan, FairnessToggleBothCorrect) {
+  // Fairness flips the adjacency scan direction every phase; a solve of
+  // two or more phases scans both ways.
   const BipartiteGraph g = figure2_graph();
-  for (const bool fairness : {true, false}) {
-    RunConfig config;
-    config.pf_fairness = fairness;
-    Matching m(g.num_x(), g.num_y());
-    pothen_fan(g, m, config);
-    EXPECT_EQ(m.cardinality(), 6) << fairness;
-  }
+  Matching m(g.num_x(), g.num_y());
+  const RunStats stats = pothen_fan(g, m);
+  EXPECT_GE(stats.phases, 2);
+  EXPECT_EQ(m.cardinality(), 6);
 }
 
 TEST(PothenFan, LookaheadCountsEdges) {
@@ -194,20 +196,19 @@ TEST(PushRelabel, SolvesTraps) {
 }
 
 TEST(PushRelabel, HonorsTuningKnobs) {
+  // The paper's relabel frequency follows the width (2 at width 1, 16
+  // wider); 20,000 edges make widths 1-3 reachable, so both run.
   ErdosRenyiParams params;
-  params.nx = params.ny = 1200;
-  params.edges = 5000;
+  params.nx = params.ny = 6000;
+  params.edges = 20000;
   const BipartiteGraph g = generate_erdos_renyi(params);
-  for (const int queue_limit : {1, 100, 500}) {
-    for (const int frequency : {1, 2, 16}) {
-      RunConfig config;
-      config.pr_queue_limit = queue_limit;
-      config.pr_relabel_frequency = frequency;
-      Matching m = greedy_maximal(g);
-      push_relabel(g, m, config);
-      EXPECT_TRUE(is_maximum_matching(g, m))
-          << "queue=" << queue_limit << " freq=" << frequency;
-    }
+  for (const int threads : {1, 2, 3}) {
+    RunConfig config;
+    config.threads = threads;
+    Matching m = greedy_maximal(g);
+    const RunStats stats = push_relabel(g, m, config);
+    EXPECT_EQ(stats.threads_used, threads);
+    EXPECT_TRUE(is_maximum_matching(g, m)) << "threads=" << threads;
   }
 }
 

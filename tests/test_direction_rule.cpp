@@ -25,6 +25,7 @@
 #include "graftmatch/runtime/epoch_array.hpp"
 #include "graftmatch/runtime/prng.hpp"
 #include "json_check.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -201,6 +202,8 @@ void expect_all_combos_reach(const BipartiteGraph& g, std::int64_t expected,
       config.threads = threads;
       Matching m = randomized_greedy(g, seed);
       const RunStats stats = ms_bfs_graft(g, m, config);
+      EXPECT_EQ(stats.threads_used, solve_width(g.num_edges(), threads))
+          << label;
       EXPECT_EQ(stats.final_cardinality, expected)
           << label << combo.label() << " threads=" << threads;
       EXPECT_TRUE(is_valid_matching(g, m)) << label;
@@ -292,7 +295,10 @@ class PolicyInvarianceOnSuite : public ::testing::TestWithParam<SuiteSeed> {};
 
 TEST_P(PolicyInvarianceOnSuite, AllCombosReachOracleCardinality) {
   const auto& [instance_name, seed] = GetParam();
-  const BipartiteGraph g = suite_instance(instance_name).factory(0.006, seed);
+  // Large enough that the threads = 4 runs are 4 wide.
+  const BipartiteGraph g = graph_for_width(4, [&](int k) {
+    return suite_instance(instance_name).factory(0.006 * k, seed);
+  });
   const std::int64_t expected = maximum_matching_cardinality(g);
   expect_all_combos_reach(g, expected, seed, instance_name);
 }

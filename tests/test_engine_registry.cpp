@@ -1,8 +1,8 @@
 // Unit tests for the engine's solver/initializer registry: enumeration,
 // clear errors for unknown names, correctness of every registered entry
-// on a known-maximum graph, and the RunConfig::threads contract -- a
-// pinned thread count must reach the OpenMP regions each solver and
-// initializer opens (probed via last_team_width()).
+// on a known-maximum graph, and the width contract -- the solve_width()
+// of RunConfig::threads and the graph must reach the OpenMP regions each
+// solver and initializer opens (probed via last_team_width()).
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -116,9 +116,10 @@ TEST(Registry, EveryInitializerProducesValidMatching) {
 // Regression for RunConfig::threads (the knob used to be ignored by
 // some baselines): pin one thread with an oversubscribed OpenMP default
 // of 4, run each parallel entry, and assert the parallel regions it
-// opened were exactly one thread wide.
+// opened were exactly one thread wide, on a graph the width rule would
+// run 4 wide (40,000 edges).
 TEST(Registry, ThreadsPinnedToOneReachesEveryParallelRegion) {
-  const BipartiteGraph g = complete_bipartite(24, 24);
+  const BipartiteGraph g = complete_bipartite(200, 200);
   ThreadCountGuard ambient(4);  // default would be 4 without the pin
   ASSERT_EQ(omp_get_max_threads(), 4);
 
@@ -147,18 +148,30 @@ TEST(Registry, ThreadsPinnedToOneReachesEveryParallelRegion) {
   }
 }
 
-// The inverse direction: with no pin, parallel solvers pick up the
-// runtime default and report it in threads_used.
+// The inverse direction: with no pin, parallel solvers and initializers
+// pick up the runtime default and report it in threads_used -- on a
+// graph above the grain (40,000 edges). Below it (256 edges) every
+// region runs one wide.
 TEST(Registry, DefaultThreadsFollowRuntime) {
-  const BipartiteGraph g = complete_bipartite(16, 16);
   ThreadCountGuard ambient(3);
-  for (const engine::SolverInfo& solver : engine::solver_registry()) {
-    if (!solver.parallel) continue;
-    last_team_width().store(-1);
-    Matching m(g.num_x(), g.num_y());
-    const RunStats stats = solver.run(g, m, RunConfig{});
-    EXPECT_EQ(last_team_width().load(), 3) << solver.name;
-    EXPECT_EQ(stats.threads_used, 3) << solver.name;
+  for (const vid_t side : {200, 16}) {
+    const BipartiteGraph g = complete_bipartite(side, side);
+    const int width = side == 200 ? 3 : 1;
+    for (const engine::SolverInfo& solver : engine::solver_registry()) {
+      if (!solver.parallel) continue;
+      last_team_width().store(-1);
+      Matching m(g.num_x(), g.num_y());
+      const RunStats stats = solver.run(g, m, RunConfig{});
+      EXPECT_EQ(last_team_width().load(), width) << solver.name << side;
+      EXPECT_EQ(stats.threads_used, width) << solver.name << side;
+    }
+    for (const engine::InitializerInfo& init :
+         engine::initializer_registry()) {
+      if (!init.parallel) continue;
+      last_team_width().store(-1);
+      (void)engine::make_initial_matching(init.name, g, RunConfig{});
+      EXPECT_EQ(last_team_width().load(), width) << init.name << side;
+    }
   }
 }
 

@@ -7,8 +7,10 @@
 // far more densely than large workloads do.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -195,12 +197,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExhaustiveDm, ::testing::Values(5, 6, 7, 8));
 // reconstruct, and require the unreduced matching number from the Kuhn
 // reference. This hits every degenerate shape the reduction rules can
 // meet -- empty rows, pendant chains, stars, complete blocks -- by
-// construction rather than by sampling.
-class ExhaustiveReduce
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(ExhaustiveReduce, EveryGraphEverySolverMatchesUnreduced) {
-  const auto [nx, ny] = GetParam();
+// construction rather than by sampling. Every solve asks for `threads`
+// and, at <= 16 edges, must run one wide.
+void check_reduce_cell(int nx, int ny, int threads) {
   const int bits = nx * ny;
   const std::uint64_t total = std::uint64_t{1} << bits;
 #if GRAFTMATCH_EXH_SANITIZED
@@ -235,7 +234,8 @@ TEST_P(ExhaustiveReduce, EveryGraphEverySolverMatchesUnreduced) {
     const BipartiteGraph& kernel = reduce::solve_graph(red, g);
     for (const engine::SolverInfo& solver : solvers) {
       Matching kernel_m(kernel.num_x(), kernel.num_y());
-      const RunConfig config;
+      RunConfig config;
+      config.threads = threads;
       solver.run(kernel, kernel_m, config);
       const Matching m = reduce::reconstruct_matching(g, red, kernel_m);
       ASSERT_EQ(m.cardinality(), nu)
@@ -250,6 +250,7 @@ TEST_P(ExhaustiveReduce, EveryGraphEverySolverMatchesUnreduced) {
     // same complete graph population without multiplying the runtime.
     const engine::SolverInfo& solver = solvers[index % solvers.size()];
     RunConfig config;
+    config.threads = threads;
     config.reduce = ReduceMode::kDegree1;
     Matching m;
     const RunStats stats = engine::run(solver.name, "none", g, m, config);
@@ -257,12 +258,38 @@ TEST_P(ExhaustiveReduce, EveryGraphEverySolverMatchesUnreduced) {
         << solver.name << " nx=" << nx << " ny=" << ny << " mask=" << mask;
     ASSERT_EQ(stats.final_cardinality, nu) << solver.name;
     ASSERT_TRUE(stats.reduce.collected) << solver.name;
+    ASSERT_EQ(stats.threads_used, 1) << solver.name << " mask=" << mask;
   }
+}
+
+class ExhaustiveReduce
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ExhaustiveReduce, EveryGraphEverySolverMatchesUnreduced) {
+  const auto [nx, ny] = GetParam();
+  check_reduce_cell(nx, ny, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, ExhaustiveReduce,
                          ::testing::Combine(::testing::Range(1, 5),
                                             ::testing::Range(1, 5)));
+
+// Four host threads solve the (3, 3) cell at once at width 4. Applied
+// verbatim, that width oversubscribed the cores on graphs of <= 9 edges
+// (under `ctest -j4` on 4 vCPUs a cell took minutes, not its 0.05 s).
+TEST(ExhaustiveReduceConcurrent, FourHostThreadsAtWidthFourMeetADeadline) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> hosts;
+  for (int h = 0; h < 4; ++h) {
+    hosts.emplace_back([] {
+      SessionContext session;
+      const SessionScope bind(session);
+      check_reduce_cell(3, 3, 4);
+    });
+  }
+  for (std::thread& host : hosts) host.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(20));
+}
 
 }  // namespace
 }  // namespace graftmatch

@@ -18,6 +18,7 @@
 #include "graftmatch/init/streaming_ks.hpp"
 #include "graftmatch/runtime/prng.hpp"
 #include "graftmatch/verify/validate.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -242,16 +243,27 @@ TEST(IsMaximal, DetectsNonMaximal) {
   EXPECT_FALSE(is_maximal_matching(g, empty));
 }
 
+// Each width on a graph that grants it, and the same widths on a graph
+// below the grain (6,000 edges), which runs one wide.
 TEST(ParallelKarpSipser, MaximalValidAcrossThreadCounts) {
-  ErdosRenyiParams params;
-  params.nx = 1500;
-  params.ny = 1200;
-  params.edges = 6000;
-  const BipartiteGraph g = generate_erdos_renyi(params);
+  const auto er = [](int k) {
+    ErdosRenyiParams params;
+    params.nx = 1500 * k;
+    params.ny = 1200 * k;
+    params.edges = 6000 * k;
+    return generate_erdos_renyi(params);
+  };
+  const BipartiteGraph small = er(1);
+  const BipartiteGraph wide = graph_for_width(4, er);
   for (int threads : {1, 2, 4}) {
-    const Matching m = parallel_karp_sipser(g, 1, threads);
-    EXPECT_TRUE(is_valid_matching(g, m)) << threads;
-    EXPECT_TRUE(is_maximal_matching(g, m)) << threads;
+    for (const BipartiteGraph* g : {&small, &wide}) {
+      last_team_width().store(-1);
+      const Matching m = parallel_karp_sipser(*g, 1, threads);
+      EXPECT_EQ(last_team_width().load(), g == &wide ? threads : 1)
+          << threads;
+      EXPECT_TRUE(is_valid_matching(*g, m)) << threads;
+      EXPECT_TRUE(is_maximal_matching(*g, m)) << threads;
+    }
   }
 }
 

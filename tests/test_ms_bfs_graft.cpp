@@ -13,6 +13,7 @@
 #include "graftmatch/gen/webcrawl.hpp"
 #include "graftmatch/init/greedy.hpp"
 #include "graftmatch/verify/koenig.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -60,11 +61,13 @@ TEST(MsBfsGraft, SolvesFigure2FromPaperState) {
 }
 
 TEST(MsBfsGraft, ConfigurationMatrixAllReachMaximum) {
-  ChungLuParams params;
-  params.nx = params.ny = 3000;
-  params.avg_degree = 6.0;
-  params.seed = 3;
-  const BipartiteGraph g = generate_chung_lu(params);
+  const BipartiteGraph g = graph_for_width(4, [](int k) {
+    ChungLuParams params;
+    params.nx = params.ny = 3000 * k;
+    params.avg_degree = 6.0;
+    params.seed = 3;
+    return generate_chung_lu(params);
+  });
   const std::int64_t expected = maximum_matching_cardinality(g);
 
   for (const bool grafting : {false, true}) {
@@ -78,6 +81,7 @@ TEST(MsBfsGraft, ConfigurationMatrixAllReachMaximum) {
           config.alpha = alpha;
           Matching m = randomized_greedy(g, 1);
           const RunStats stats = ms_bfs_graft(g, m, config);
+          ASSERT_EQ(stats.threads_used, threads);
           ASSERT_EQ(m.cardinality(), expected)
               << "graft=" << grafting << " dirop=" << dirop
               << " threads=" << threads << " alpha=" << alpha;
@@ -298,11 +302,14 @@ TEST(MsBfsGraft, PhaseStatsOffByDefault) {
 
 TEST(MsBfsGraft, InvariantAuditPassesAcrossConfigurations) {
   // The O(n+m) forest audit must stay silent for every configuration on
-  // a workload that exercises grafting, rebuilds, and both directions.
-  WebCrawlParams params;
-  params.nx = params.ny = 3000;
-  params.seed = 6;
-  const BipartiteGraph g = generate_webcrawl(params);
+  // a workload that exercises grafting, rebuilds, and both directions,
+  // at every width it asks for.
+  const BipartiteGraph g = graph_for_width(4, [](int k) {
+    WebCrawlParams params;
+    params.nx = params.ny = 3000 * k;
+    params.seed = 6;
+    return generate_webcrawl(params);
+  });
   for (const bool grafting : {false, true}) {
     for (const bool dirop : {false, true}) {
       for (const int threads : {1, 4}) {
@@ -312,9 +319,11 @@ TEST(MsBfsGraft, InvariantAuditPassesAcrossConfigurations) {
         config.direction_optimizing = dirop;
         config.threads = threads;
         Matching m = randomized_greedy(g, 3);
-        EXPECT_NO_THROW(ms_bfs_graft(g, m, config))
+        RunStats stats;
+        EXPECT_NO_THROW(stats = ms_bfs_graft(g, m, config))
             << "graft=" << grafting << " dirop=" << dirop
             << " threads=" << threads;
+        EXPECT_EQ(stats.threads_used, threads);
         EXPECT_TRUE(is_maximum_matching(g, m));
       }
     }
@@ -329,11 +338,13 @@ TEST(MsBfsGraft, WideTeamsGraftAndRebuildUnderTheAudit) {
   // and the rebuild branch at each width for that to cover both paths:
   // from the empty matching with alpha = 0.5, the early path-rich
   // phases of this scale-free graph rebuild and the later ones graft.
+  // The graph is above edges_for_width(4), so every width is granted.
   ChungLuParams params;
-  params.nx = params.ny = 4000;
+  params.nx = params.ny = 8000;
   params.avg_degree = 4.0;
   params.max_degree = 200;
   const BipartiteGraph g = generate_chung_lu(params);
+  ASSERT_GE(g.num_edges(), edges_for_width(4));
   const std::int64_t maximum = maximum_matching_cardinality(g);
   for (const int threads : {2, 3, 4}) {
     RunConfig config;
@@ -371,18 +382,6 @@ TEST(MsBfsGraft, InvariantAuditOnScientificClass) {
   config.check_invariants = true;
   Matching m = randomized_greedy(g, 1);
   EXPECT_NO_THROW(ms_bfs_graft(g, m, config));
-}
-
-TEST(MsBfsGraft, PinningPolicyDoesNotAffectResult) {
-  const BipartiteGraph g = figure2_graph();
-  for (const PinPolicy pin :
-       {PinPolicy::kNone, PinPolicy::kCompact, PinPolicy::kScatter}) {
-    RunConfig config;
-    config.pin = pin;
-    Matching m = figure2_initial();
-    ms_bfs_graft(g, m, config);
-    EXPECT_EQ(m.cardinality(), 6);
-  }
 }
 
 }  // namespace

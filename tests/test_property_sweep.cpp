@@ -4,10 +4,12 @@
 // which passes the independent Koenig certificate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
 #include "graftmatch/graftmatch.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch {
 namespace {
@@ -40,22 +42,30 @@ std::string to_string(Init init) {
   return "?";
 }
 
-RunStats run_algorithm(Algo algo, const BipartiteGraph& g, Matching& m) {
-  RunConfig config;
+/// The width each algorithm asks for; 0 leaves it to the runtime
+/// default (ms_bfs) or to a serial algorithm.
+int requested_width(Algo algo) {
   switch (algo) {
     case Algo::kGraft:
-      config.threads = 4;
-      return ms_bfs_graft(g, m, config);
+    case Algo::kPF: return 4;
+    case Algo::kGraftSerial: return 1;
+    case Algo::kPR: return 2;
+    default: return 0;
+  }
+}
+
+RunStats run_algorithm(Algo algo, const BipartiteGraph& g, Matching& m) {
+  RunConfig config;
+  config.threads = requested_width(algo);
+  switch (algo) {
+    case Algo::kGraft:
     case Algo::kGraftSerial:
-      config.threads = 1;
       return ms_bfs_graft(g, m, config);
     case Algo::kMsBfs:
       return ms_bfs(g, m);
     case Algo::kPF:
-      config.threads = 4;
       return pothen_fan(g, m, config);
     case Algo::kPR:
-      config.threads = 2;
       return push_relabel(g, m, config);
     case Algo::kHK:
       return hopcroft_karp(g, m);
@@ -88,11 +98,19 @@ class AlgorithmOnSuite : public ::testing::TestWithParam<AlgoInstance> {};
 
 TEST_P(AlgorithmOnSuite, ReachesVerifiedMaximum) {
   const auto& [algo, instance_name] = GetParam();
-  const BipartiteGraph g = suite_instance(instance_name).factory(0.01, 7);
+  // The first of sizes 0.01, 0.02, ... on which the algorithm runs as
+  // wide as it asks.
+  const int width = requested_width(algo);
+  const BipartiteGraph g = graph_for_width(std::max(width, 1), [&](int k) {
+    return suite_instance(instance_name).factory(0.01 * k, 7);
+  });
   const std::int64_t expected = maximum_matching_cardinality(g);
 
   Matching m = randomized_greedy(g, 11);
   const RunStats stats = run_algorithm(algo, g, m);
+  if (width > 0) {
+    EXPECT_EQ(stats.threads_used, width);
+  }
   EXPECT_TRUE(is_valid_matching(g, m));
   EXPECT_TRUE(is_maximum_matching(g, m));
   EXPECT_EQ(m.cardinality(), expected);
@@ -204,22 +222,24 @@ class ThreadSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadSweep, ParallelAlgorithmsExact) {
   const int threads = GetParam();
-  const BipartiteGraph g = suite_instance("copapers-like").factory(0.01, 2);
+  const BipartiteGraph g = graph_for_width(threads, [](int k) {
+    return suite_instance("copapers-like").factory(0.01 * k, 2);
+  });
   const std::int64_t expected = maximum_matching_cardinality(g);
 
   RunConfig config;
   config.threads = threads;
 
   Matching m1 = randomized_greedy(g, 3);
-  ms_bfs_graft(g, m1, config);
+  EXPECT_EQ(ms_bfs_graft(g, m1, config).threads_used, threads);
   EXPECT_EQ(m1.cardinality(), expected) << "graft threads=" << threads;
 
   Matching m2 = randomized_greedy(g, 3);
-  pothen_fan(g, m2, config);
+  EXPECT_EQ(pothen_fan(g, m2, config).threads_used, threads);
   EXPECT_EQ(m2.cardinality(), expected) << "pf threads=" << threads;
 
   Matching m3 = randomized_greedy(g, 3);
-  push_relabel(g, m3, config);
+  EXPECT_EQ(push_relabel(g, m3, config).threads_used, threads);
   EXPECT_EQ(m3.cardinality(), expected) << "pr threads=" << threads;
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for timers, atomics helpers, padded types, frontier queues,
-// affinity, and system info.
+// the solve-width rule, and system info.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "graftmatch/runtime/affinity.hpp"
 #include "graftmatch/runtime/aligned.hpp"
 #include "graftmatch/runtime/atomics.hpp"
 #include "graftmatch/runtime/frontier_queue.hpp"
@@ -187,30 +186,13 @@ TEST(Parallel, FirstTouchFill) {
                           [](int v) { return v == 7; }));
 }
 
-TEST(Affinity, CpuCountPositive) {
-  EXPECT_GE(logical_cpu_count(), 1);
-}
-
-TEST(Affinity, PinCurrentThread) {
-  // Pinning to CPU 0 must succeed inside any Linux environment we run in.
-  EXPECT_TRUE(pin_current_thread(0));
-  EXPECT_EQ(current_cpu(), 0);
-  EXPECT_FALSE(pin_current_thread(-1));
-}
-
-TEST(Affinity, CompactPlacementCoversThreads) {
-  const auto placement = pin_openmp_threads(PinPolicy::kCompact);
-  EXPECT_EQ(placement.size(),
-            static_cast<std::size_t>(omp_get_max_threads()));
-  for (const int cpu : placement) {
-    EXPECT_GE(cpu, 0);
-    EXPECT_LT(cpu, logical_cpu_count());
-  }
-}
-
-TEST(Affinity, NonePolicyLeavesUnpinned) {
-  const auto placement = pin_openmp_threads(PinPolicy::kNone);
-  for (const int cpu : placement) EXPECT_EQ(cpu, -1);
+TEST(Parallel, SolveWidthSizesTheTeamToTheGraph) {
+  EXPECT_EQ(solve_width(0, 4), 1);
+  EXPECT_EQ(solve_width(kEdgesPerThread, 4), 1);
+  EXPECT_EQ(solve_width(kEdgesPerThread + 1, 4), 2);
+  EXPECT_EQ(solve_width(100 * kEdgesPerThread, 4), 4) << "capped";
+  const ThreadCountGuard guard(3);
+  EXPECT_EQ(solve_width(100 * kEdgesPerThread, 0), 3) << "runtime default";
 }
 
 TEST(SystemInfo, FieldsPopulated) {

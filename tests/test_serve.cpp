@@ -34,6 +34,7 @@
 #include "graftmatch/serve/roster.hpp"
 #include "graftmatch/serve/server.hpp"
 #include "graftmatch/serve/uds.hpp"
+#include "test_widths.hpp"
 
 namespace graftmatch::serve {
 namespace {
@@ -445,7 +446,7 @@ TEST(MatchServer, SolverAndModeSelectionPerRequest) {
   const GraphRoster roster = small_roster();
   MatchServer server(roster);
 
-  for (const std::string& solver : {"graft", "pf", "hk"}) {
+  for (const char* solver : {"graft", "pf", "hk"}) {
     MatchRequest request;
     request.graph = "alpha";
     request.solver = solver;
@@ -922,20 +923,39 @@ TEST(MatchServer, SameKeyRequestsJoinTheRunningSolve) {
 TEST(MatchServer, ClampsRequestedWidthToTheCoreCount) {
   // The width comes off the wire; the server must not hand an
   // arbitrary value to the OpenMP runtime. Five over the core count is
-  // enough to show the clamp without starting a flood of threads.
-  const GraphRoster roster = small_roster();
+  // enough to show the clamp without starting a flood of threads. The
+  // graph would grant the unclamped width, so only the clamp narrows it.
+  const int cores = omp_get_num_procs();
+  GraphRoster roster;
+  roster.add("wide", graph_for_width(cores + 5, [](int k) {
+               return planted(13, 5000 * k);
+             }));
   MatchServer server(roster);
   MatchRequest request;
-  request.graph = "beta";
-  request.threads = omp_get_num_procs() + 5;
+  request.graph = "wide";
+  request.threads = cores + 5;
   const MatchResponse wide = server.solve(request);
   EXPECT_TRUE(wide.ok) << wide.error;
-  EXPECT_EQ(wide.threads, omp_get_num_procs());
+  EXPECT_EQ(wide.threads, cores);
 
   request.threads = 0;  // server default (1)
   const MatchResponse fallback = server.solve(request);
   EXPECT_TRUE(fallback.ok) << fallback.error;
   EXPECT_EQ(fallback.threads, 1);
+}
+
+TEST(MatchServer, ReportsTheWidthTheSolveUsed) {
+  // MatchResponse::threads is the width the solve ran at; hk is serial.
+  if (omp_get_num_procs() < 2) GTEST_SKIP() << "needs 2 cores to ask for 2";
+  const GraphRoster roster = small_roster();
+  MatchServer server(roster);
+  MatchRequest request;
+  request.graph = "alpha";
+  request.solver = "hk";
+  request.threads = 2;
+  const MatchResponse response = server.solve(request);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.threads, 1);
 }
 
 TEST(MatchServer, FarDeadlineSaturatesInsteadOfExpiring) {
