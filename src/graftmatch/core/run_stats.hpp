@@ -92,6 +92,13 @@ struct RunConfig {
   BottomUpKernel bottom_up_kernel = BottomUpKernel::kBit;
 };
 
+// The counter schema: every struct run_stats_json() writes lists its
+// JSON keys once, in output order, in a static for_each_field(self,
+// visit) that calls visit(key, field) per key (`self` may be const). A
+// `collected` flag is not a key: it leaves its block out of the JSON
+// while false. Adding a counter means adding the member and one visit
+// line beside it.
+
 /// Per-phase summary of an MS-BFS-Graft run (RunConfig::
 /// collect_phase_stats). One row per repeat-until iteration of
 /// Algorithm 3, mirroring the phase-level discussion in Secs. III and V.
@@ -105,6 +112,19 @@ struct PhaseStats {
   std::int64_t renewable_y = 0;    ///< |renewableY| at the graft decision
   bool grafted = false;            ///< Step 3 chose grafting (not rebuild)
   double seconds = 0.0;
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("phase", s.phase);
+    visit("levels", s.levels);
+    visit("bottom_up_levels", s.bottom_up_levels);
+    visit("edges", s.edges);
+    visit("augmentations", s.augmentations);
+    visit("active_x", s.active_x);
+    visit("renewable_y", s.renewable_y);
+    visit("grafted", s.grafted);
+    visit("seconds", s.seconds);
+  }
 };
 
 /// One frontier-size sample from a level-synchronous search.
@@ -113,23 +133,41 @@ struct FrontierSample {
   std::int64_t level = 0;          ///< BFS level within the phase
   std::int64_t frontier_size = 0;  ///< |F| entering this level
   bool bottom_up = false;          ///< direction chosen for this level
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("phase", s.phase);
+    visit("level", s.level);
+    visit("frontier_size", s.frontier_size);
+    visit("bottom_up", s.bottom_up);
+  }
 };
 
-/// Counters distilled from the structured trace (src/graftmatch/obs/)
-/// when a run executed with tracing armed. `collected` stays false on
-/// untraced runs and in GRAFTMATCH_TRACE=OFF builds; the other fields
-/// are then meaningless.
+/// Counters folded from the structured trace (src/graftmatch/obs/) by
+/// obs::summarize() when a run executed with tracing armed. `collected`
+/// stays false on untraced runs and in GRAFTMATCH_TRACE=OFF builds; the
+/// other fields are then meaningless. Direction counts live in
+/// DirectionCounters, which every graft run fills traced or not.
 struct ObsCounters {
   bool collected = false;
   std::int64_t events = 0;   ///< trace events captured across threads
   std::int64_t dropped = 0;  ///< events lost to full per-thread rings
   std::int64_t levels = 0;   ///< BFS levels (frontier samples) observed
-  std::int64_t bottom_up_levels = 0;
-  std::int64_t direction_switches = 0;  ///< mid-phase direction flips
-  std::int64_t grafts = 0;              ///< phases ending in a graft
-  std::int64_t rebuilds = 0;            ///< phases ending in a rebuild
-  std::int64_t frontier_peak = 0;       ///< max |F| over all levels
-  std::int64_t frontier_volume = 0;     ///< sum of |F| over all levels
+  std::int64_t grafts = 0;           ///< phases ending in a graft
+  std::int64_t rebuilds = 0;         ///< phases ending in a rebuild
+  std::int64_t frontier_peak = 0;    ///< max |F| over all levels
+  std::int64_t frontier_volume = 0;  ///< sum of |F| over all levels
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("events", s.events);
+    visit("dropped", s.dropped);
+    visit("levels", s.levels);
+    visit("grafts", s.grafts);
+    visit("rebuilds", s.rebuilds);
+    visit("frontier_peak", s.frontier_peak);
+    visit("frontier_volume", s.frontier_volume);
+  }
 };
 
 /// Counters from MS-BFS-Graft's epoch-versioned phase bookkeeping
@@ -150,6 +188,16 @@ struct BookkeepingCounters {
   std::int64_t classified_y = 0;    ///< forest Ys classified (all phases)
   std::int64_t counted_x = 0;       ///< forest Xs counted (all phases)
   std::int64_t epoch_bumps = 0;     ///< O(1) forest invalidations
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("workspace_warm", s.workspace_warm);
+    visit("pool_builds", s.pool_builds);
+    visit("pool_reinserts", s.pool_reinserts);
+    visit("classified_y", s.classified_y);
+    visit("counted_x", s.counted_x);
+    visit("epoch_bumps", s.epoch_bumps);
+  }
 };
 
 /// Counters from MS-BFS-Graft's per-level top-down/bottom-up choice
@@ -171,6 +219,16 @@ struct DirectionCounters {
   /// CAS path under contention.
   std::int64_t word_commits = 0;
   std::int64_t word_fallbacks = 0;
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("kernel", s.kernel);
+    visit("decisions", s.decisions);
+    visit("bottom_up_levels", s.bottom_up_levels);
+    visit("switches", s.switches);
+    visit("word_commits", s.word_commits);
+    visit("word_fallbacks", s.word_fallbacks);
+  }
 };
 
 /// Counters from the kernelization pre-pass (src/graftmatch/reduce/).
@@ -191,6 +249,23 @@ struct ReduceCounters {
   double reduce_seconds = 0.0;       ///< reduction rounds
   double compact_seconds = 0.0;      ///< renumber + kernel CSR build
   double reconstruct_seconds = 0.0;  ///< kernel matching -> original
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("mode", s.mode);
+    visit("rounds", s.rounds);
+    visit("isolated_x", s.isolated_x);
+    visit("isolated_y", s.isolated_y);
+    visit("forced_matches", s.forced_matches);
+    visit("vertices_removed", s.vertices_removed);
+    visit("edges_removed", s.edges_removed);
+    visit("kernel_nx", s.kernel_nx);
+    visit("kernel_ny", s.kernel_ny);
+    visit("kernel_edges", s.kernel_edges);
+    visit("reduce_seconds", s.reduce_seconds);
+    visit("compact_seconds", s.compact_seconds);
+    visit("reconstruct_seconds", s.reconstruct_seconds);
+  }
 };
 
 /// Counters from the incremental matcher (src/graftmatch/dynamic/).
@@ -213,6 +288,24 @@ struct DynamicCounters {
   double reaugment_seconds = 0.0;  ///< localized searches + sweeps
   double compact_seconds = 0.0;    ///< payoff-gated compactions
   double resolve_seconds = 0.0;    ///< full re-solves via the registry
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("batches", s.batches);
+    visit("edges_added", s.edges_added);
+    visit("edges_removed", s.edges_removed);
+    visit("direct_matches", s.direct_matches);
+    visit("reaugment_searches", s.reaugment_searches);
+    visit("reaugment_paths", s.reaugment_paths);
+    visit("sweep_rounds", s.sweep_rounds);
+    visit("resolves", s.resolves);
+    visit("compactions", s.compactions);
+    visit("overlay_peak", s.overlay_peak);
+    visit("apply_seconds", s.apply_seconds);
+    visit("reaugment_seconds", s.reaugment_seconds);
+    visit("compact_seconds", s.compact_seconds);
+    visit("resolve_seconds", s.resolve_seconds);
+  }
 };
 
 /// Wall-clock seconds per algorithm step (Fig. 6's categories).
@@ -226,6 +319,16 @@ struct StepSeconds {
 
   double total() const noexcept {
     return top_down + bottom_up + augment + graft + statistics + other;
+  }
+
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("top_down", s.top_down);
+    visit("bottom_up", s.bottom_up);
+    visit("augment", s.augment);
+    visit("graft", s.graft);
+    visit("statistics", s.statistics);
+    visit("other", s.other);
   }
 };
 
@@ -242,8 +345,8 @@ struct RunStats {
   std::int64_t final_cardinality = 0;
 
   /// OpenMP threads the run's parallel regions used: the solve's
-  /// solve_width() (1 for the serial algorithms). Stamped by the
-  /// engine's StatsSink.
+  /// solve_width() (1 for the serial algorithms). Stamped once by the
+  /// engine's StatsSink constructor.
   int threads_used = 0;
 
   double seconds = 0.0;  ///< total wall time of the matching run
@@ -296,15 +399,45 @@ struct RunStats {
     return seconds > 0.0 ? static_cast<double>(edges_traversed) / seconds / 1e6
                          : 0.0;
   }
+
+  /// avg_path_length and mteps are derived, not members.
+  template <class Self, class Visit>
+  static void for_each_field(Self& s, Visit&& visit) {
+    visit("algorithm", s.algorithm);
+    visit("phases", s.phases);
+    visit("edges_traversed", s.edges_traversed);
+    visit("augmentations", s.augmentations);
+    visit("total_path_edges", s.total_path_edges);
+    visit("initial_cardinality", s.initial_cardinality);
+    visit("final_cardinality", s.final_cardinality);
+    visit("threads_used", s.threads_used);
+    visit("seconds", s.seconds);
+    visit("avg_path_length", s.avg_path_length());
+    visit("mteps", s.mteps());
+    visit("step_seconds", s.step_seconds);
+    visit("obs", s.obs);
+    visit("reduce", s.reduce);
+    visit("dynamic", s.dynamic);
+    visit("bookkeeping", s.bookkeeping);
+    visit("direction", s.direction);
+    visit("path_length_histogram", s.path_length_histogram);
+    visit("phase_stats", s.phase_stats);
+    visit("frontier_trace", s.frontier_trace);
+  }
 };
 
 /// Render a one-line summary: algorithm, |M|, phases, edges, time.
 std::string format_run_stats(const RunStats& stats);
 
-/// Render the full stats as a self-contained JSON object (scalars, the
-/// step breakdown, and -- when collected -- phase stats, the path-length
-/// histogram, and the frontier trace). Machine-readable counterpart of
+/// Render the full stats as a self-contained JSON object: one walk over
+/// the for_each_field lists above. Non-finite doubles are written as 0
+/// (JSON has no NaN/Inf), blocks whose `collected` is false and empty
+/// row arrays are left out. Machine-readable counterpart of
 /// format_run_stats for tooling (examples/matching_tool --json).
 std::string run_stats_json(const RunStats& stats);
+
+/// `text` as a quoted JSON string literal, with quotes, backslashes and
+/// control characters escaped (also used by the Chrome-trace writer).
+std::string json_quoted(const std::string& text);
 
 }  // namespace graftmatch

@@ -34,23 +34,11 @@
 
 namespace graftmatch::engine {
 
-/// Closes the trace run `session` owns and stamps the counters distilled
+/// Closes the trace run `session` owns and stamps the counters folded
 /// from it into `stats.obs` (for StatsSink's runs and engine::run's).
 inline void distill_obs(SessionContext& session, RunStats& stats) {
   session.trace().end_run();
-  const obs::TraceSummary summary =
-      obs::summarize(session.trace().last_run());
-  ObsCounters& o = stats.obs;
-  o.collected = true;
-  o.events = summary.events;
-  o.dropped = summary.dropped;
-  o.levels = summary.levels;
-  o.bottom_up_levels = summary.bottom_up_levels;
-  o.direction_switches = summary.direction_switches;
-  o.grafts = summary.grafts;
-  o.rebuilds = summary.rebuilds;
-  o.frontier_peak = summary.frontier_peak;
-  o.frontier_volume = summary.frontier_volume;
+  stats.obs = obs::summarize(session.trace().last_run()).counters;
 }
 
 /// Step categories of StepSeconds (Fig. 6), in field order.
@@ -59,22 +47,19 @@ enum class Step { kTopDown, kBottomUp, kAugment, kGraft, kStatistics };
 class StatsSink {
  public:
   /// Stamps the run header into `stats` and starts the run timer; the
-  /// trace run, the region-epoch snapshot, and the width probe all
-  /// target `session`, so concurrent sessions fill disjoint RunStats.
-  /// Construct AFTER the solve's ThreadCountGuard so `parallel` solvers
-  /// record the solve_width() their regions will actually use.
+  /// trace run targets `session`, so concurrent sessions fill disjoint
+  /// RunStats. Construct AFTER the solve's ThreadCountGuard: `parallel`
+  /// solvers stamp threads_used once, here, as the solve_width() the
+  /// guard set, clamped by OMP_THREAD_LIMIT. It is this thread's own
+  /// ICV, so no concurrent run can overwrite it.
   StatsSink(SessionContext& session, RunStats& stats, std::string algorithm,
             const Matching& initial, bool parallel)
-      : stats_(stats),
-        session_(session),
-        epoch_at_start_(
-            session.region_epoch().load(std::memory_order_relaxed)) {
+      : stats_(stats), session_(session) {
     stats_.algorithm = std::move(algorithm);
     stats_.initial_cardinality = initial.cardinality();
-    // Guard value only: finish() replaces it with the width the runtime
-    // actually granted once any parallel region has run (they disagree
-    // under OMP_THREAD_LIMIT or nested-parallelism restrictions).
-    stats_.threads_used = parallel ? omp_get_max_threads() : 1;
+    stats_.threads_used =
+        parallel ? std::min(omp_get_max_threads(), omp_get_thread_limit())
+                 : 1;
     owns_trace_ = session.trace().begin_run(stats_.algorithm.c_str(),
                                             stats_.threads_used);
   }
@@ -123,9 +108,8 @@ class StatsSink {
   ScopedStep scoped(Step step) noexcept { return ScopedStep(*this, step); }
 
   /// Stamps the run footer: final cardinality, wall time, the step
-  /// breakdown (time not covered by any lap lands in `other`), the
-  /// granted thread-team width, and -- when this run owned an armed
-  /// trace -- the flushed trace's counters.
+  /// breakdown (time not covered by any lap lands in `other`), and --
+  /// when this run owned an armed trace -- the flushed trace's counters.
   void finish(const Matching& final_matching) {
     stats_.final_cardinality = final_matching.cardinality();
     stats_.seconds = timer_.elapsed();
@@ -137,16 +121,6 @@ class StatsSink {
     s.statistics = watch(Step::kStatistics).seconds();
     s.other = 0.0;
     s.other = std::max(0.0, stats_.seconds - s.total());
-
-    if (session_.region_epoch().load(std::memory_order_relaxed) !=
-        epoch_at_start_) {
-      // At least one parallel region ran during this run; the probe
-      // holds the width the runtime granted it.
-      const int granted =
-          session_.team_width().load(std::memory_order_relaxed);
-      if (granted > 0) stats_.threads_used = granted;
-    }
-
     if (owns_trace_) distill_obs(session_, stats_);
   }
 
@@ -166,7 +140,6 @@ class StatsSink {
   SessionContext& session_;
   Timer timer_;
   std::array<Stopwatch, 5> watches_;
-  std::uint64_t epoch_at_start_ = 0;
   bool owns_trace_ = false;
 };
 

@@ -5,32 +5,12 @@
 #include <set>
 #include <sstream>
 
+#include "graftmatch/core/run_stats.hpp"
+
 namespace graftmatch::obs {
 namespace {
 
 constexpr int kPid = 1;
-
-void append_escaped(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out << buffer;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 /// Microsecond timestamp with the sub-microsecond part kept: Perfetto
 /// accepts fractional "ts"/"dur", and our spans are often sub-µs.
@@ -60,9 +40,8 @@ void append_args(std::ostringstream& out, const Event& event) {
 void append_metadata(std::ostringstream& out, const char* what, int tid,
                      const std::string& value) {
   out << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << kPid
-      << ",\"tid\":" << tid << ",\"args\":{\"name\":";
-  append_escaped(out, value);
-  out << "}}";
+      << ",\"tid\":" << tid << ",\"args\":{\"name\":" << json_quoted(value)
+      << "}}";
 }
 
 }  // namespace

@@ -27,15 +27,16 @@ std::string cell(double value) {
 
 TraceSummary summarize(const RunTrace& trace) {
   TraceSummary summary;
-  summary.events = static_cast<std::int64_t>(trace.events.size());
-  summary.dropped = trace.dropped;
+  ObsCounters& counts = summary.counters;
+  counts.collected = true;
+  counts.events = static_cast<std::int64_t>(trace.events.size());
+  counts.dropped = trace.dropped;
 
   // Events arrive grouped by tid and time-ordered per tid, so one pass
   // with per-span-name stacks folds every thread segment. Step and
   // phase spans never self-nest, so a stack per name (just the open
   // begin timestamp) is enough; -1 marks "not open".
   struct OpenSpans {
-    std::int64_t run = -1;
     std::int64_t phase = -1;
     std::int64_t step[5] = {-1, -1, -1, -1, -1};
   };
@@ -61,9 +62,7 @@ TraceSummary summarize(const RunTrace& trace) {
 
     switch (event.kind) {
       case EventKind::kBegin:
-        if (is(event, names::kRun)) {
-          open.run = event.ts_ns;
-        } else if (is(event, names::kPhase)) {
+        if (is(event, names::kPhase)) {
           open.phase = event.ts_ns;
           current = PhaseAnatomy{};
           current.phase = event.arg0;
@@ -79,12 +78,7 @@ TraceSummary summarize(const RunTrace& trace) {
         break;
 
       case EventKind::kEnd:
-        if (is(event, names::kRun)) {
-          if (open.run >= 0) {
-            summary.run_seconds = ns_to_s(event.ts_ns - open.run);
-          }
-          open.run = -1;
-        } else if (is(event, names::kPhase)) {
+        if (is(event, names::kPhase)) {
           if (phase_open && open.phase >= 0) {
             current.seconds = ns_to_s(event.ts_ns - open.phase);
             current.augmentations = event.arg1;
@@ -111,11 +105,9 @@ TraceSummary summarize(const RunTrace& trace) {
 
       case EventKind::kCounter:
         if (is(event, names::kFrontier)) {
-          ++summary.levels;
-          summary.bottom_up_levels += event.arg1 != 0;
-          summary.frontier_peak =
-              std::max(summary.frontier_peak, event.arg0);
-          summary.frontier_volume += event.arg0;
+          ++counts.levels;
+          counts.frontier_peak = std::max(counts.frontier_peak, event.arg0);
+          counts.frontier_volume += event.arg0;
           if (phase_open) {
             ++current.levels;
             current.bottom_up_levels += event.arg1 != 0;
@@ -127,19 +119,15 @@ TraceSummary summarize(const RunTrace& trace) {
         break;
 
       case EventKind::kInstant:
-        if (is(event, names::kDirectionSwitch)) {
-          ++summary.direction_switches;
-        } else if (is(event, names::kGraftChosen)) {
-          ++summary.grafts;
+        if (is(event, names::kGraftChosen)) {
+          ++counts.grafts;
           if (phase_open) current.grafted = true;
         } else if (is(event, names::kRebuildChosen)) {
-          ++summary.rebuilds;
+          ++counts.rebuilds;
         }
         break;
 
-      case EventKind::kComplete:
-        ++summary.kernel_spans;
-        summary.kernel_edges += event.arg0;
+      case EventKind::kComplete:  // per-thread kernel spans: not folded
         break;
     }
   }

@@ -4,14 +4,15 @@
 // bench_fig6_breakdown reconciles these step totals against the
 // StatsSink stopwatch columns (they must agree within noise: every
 // trace span is emitted strictly inside its stopwatch lap), and
-// bench_fig8 reads the frontier counters. StatsSink uses the counter
-// block to fill RunStats::obs.
+// bench_fig8 reads the frontier counters. StatsSink stamps the counter
+// block into RunStats::obs.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "graftmatch/core/run_stats.hpp"
 #include "graftmatch/obs/trace.hpp"
 
 namespace graftmatch::obs {
@@ -42,19 +43,9 @@ struct TraceSummary {
   double augment = 0.0;
   double graft = 0.0;
   double statistics = 0.0;
-  double run_seconds = 0.0;  ///< duration of the run span
 
-  std::int64_t events = 0;
-  std::int64_t dropped = 0;
-  std::int64_t levels = 0;
-  std::int64_t bottom_up_levels = 0;
-  std::int64_t direction_switches = 0;
-  std::int64_t grafts = 0;    ///< graft_chosen instants
-  std::int64_t rebuilds = 0;  ///< rebuild_chosen instants
-  std::int64_t frontier_peak = 0;
-  std::int64_t frontier_volume = 0;
-  std::int64_t kernel_spans = 0;  ///< per-thread kernel X events
-  std::int64_t kernel_edges = 0;  ///< edges they report scanning
+  /// The whole-run counts, as RunStats::obs reports them (collected).
+  ObsCounters counters;
 
   std::vector<PhaseAnatomy> phases;
 };

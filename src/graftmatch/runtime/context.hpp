@@ -11,8 +11,8 @@
 // gathers all of that state into one object:
 //
 //  * team_width() / region_epoch(): the parallel_region() probe pair
-//    (see runtime/parallel.hpp) -- per session, so a width pinned by
-//    one request can't leak into another request's RunStats;
+//    (see runtime/parallel.hpp) -- per session, so one request's
+//    regions can't move another request's probe;
 //  * trace(): a private obs::TraceSink, so two armed sessions flush
 //    two independent RunTraces;
 //  * workspaces(): a warm GraftWorkspace pool with explicit
@@ -149,10 +149,10 @@ class SessionContext {
   /// The parallel_region() probe pair, per session: the width of the
   /// team most recently opened under this session (requested width
   /// before the region opens, overwritten with the granted width from
-  /// inside it) and the count of regions opened so far. StatsSink reads
-  /// both to stamp RunStats::threads_used; regression tests pin a
-  /// thread count and assert on the width (tests/test_engine_registry
-  /// .cpp, tests/test_session_context.cpp).
+  /// inside it) and the count of regions opened so far. Regression
+  /// tests pin a thread count and assert on the width (tests/
+  /// test_engine_registry.cpp, tests/test_session_context.cpp); the
+  /// benchmark counts regions per op.
   std::atomic<int>& team_width() noexcept { return team_width_; }
   std::atomic<std::uint64_t>& region_epoch() noexcept {
     return region_epoch_;

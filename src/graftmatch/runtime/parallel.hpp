@@ -32,25 +32,16 @@ namespace graftmatch {
 /// the calling thread's AMBIENT SESSION (runtime/context.hpp): the
 /// requested width before the region opens, overwritten from inside the
 /// region with the width the runtime actually granted (they differ
-/// under OMP_THREAD_LIMIT or nesting restrictions). A test probe:
+/// under OMP_THREAD_LIMIT or nesting restrictions). A test probe only:
 /// regression tests for RunConfig::threads pin a thread count, run a
 /// solver, and assert the regions it opened were that wide (see
-/// tests/test_engine_registry.cpp); the engine's StatsSink reads it to
-/// stamp RunStats::threads_used. Relaxed is enough -- probing callers
-/// sequence the read after the solver returns. Unbound threads resolve
-/// to the default session, so pre-session callers see exactly the old
-/// process-global behavior; concurrent sessions each probe their own.
+/// tests/test_engine_registry.cpp). RunStats::threads_used does not
+/// read it; StatsSink stamps the solve's width when it is constructed.
+/// Relaxed is enough -- probing callers sequence the read after the
+/// solver returns. Unbound threads all resolve to the default session
+/// and so share one probe; concurrent sessions each probe their own.
 inline std::atomic<int>& last_team_width() noexcept {
   return ambient_session().team_width();
-}
-
-/// Count of parallel_region() calls issued so far under the calling
-/// thread's ambient session. StatsSink snapshots this at run start: if
-/// it moved by finish() time, at least one region ran and
-/// last_team_width() holds a granted width for this run rather than a
-/// stale or guessed value.
-inline std::atomic<std::uint64_t>& region_epoch() noexcept {
-  return ambient_session().region_epoch();
 }
 
 /// Runs `fn()` on every thread of an OpenMP parallel team. This is the

@@ -1,10 +1,12 @@
 // Minimal strict JSON (RFC 8259) validator for tests.
 //
-// The library emits JSON from two places (run_stats_json and the obs
-// Chrome-trace writer) by hand, so the tests re-parse that output with
-// an independent, deliberately strict checker: no NaN/Inf literals, no
-// trailing commas, no unescaped control characters, full-document
-// consumption. Validation only -- it builds no DOM.
+// The library writes JSON without a JSON library in two places:
+// run_stats_json (one walk over the counter schema in core/run_stats.hpp)
+// and the obs Chrome-trace writer, which share one string escaper. The
+// tests re-parse that output with an independent, deliberately strict
+// checker: no NaN/Inf literals, no trailing commas, no unescaped control
+// characters, full-document consumption. Validation only -- it builds
+// no DOM.
 #pragma once
 
 #include <cctype>

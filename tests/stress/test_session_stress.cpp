@@ -176,9 +176,8 @@ TEST(SessionStress, BoundAndUnboundThreadsCoexist) {
         Matching m(unbound_graph.num_x(), unbound_graph.num_y());
         const RunStats stats =
             engine::run("pf", "greedy", unbound_graph, m, config);
-        // No threads_used check: unbound threads share the default
-        // session's width probe, so it may hold a sibling's width.
         if (stats.final_cardinality != unbound_oracle) wrong.fetch_add(1);
+        if (stats.threads_used != config.threads) wrong.fetch_add(1);
       }
     });
   }

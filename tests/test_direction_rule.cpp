@@ -24,7 +24,6 @@
 #include "graftmatch/graftmatch.hpp"
 #include "graftmatch/runtime/epoch_array.hpp"
 #include "graftmatch/runtime/prng.hpp"
-#include "json_check.hpp"
 #include "test_widths.hpp"
 
 namespace graftmatch {
@@ -401,7 +400,7 @@ TEST(DirectionStats, CountersMatchFrontierTracePerPhase) {
   }
 }
 
-TEST(DirectionStats, JsonBlockIsStrictAndNamed) {
+TEST(DirectionStats, WordArmIsCountedAndNamed) {
   const BipartiteGraph g = suite_instance("wikipedia-like").factory(0.006, 9);
   RunConfig config;
   config.bottom_up_kernel = BottomUpKernel::kWord;
@@ -412,15 +411,6 @@ TEST(DirectionStats, JsonBlockIsStrictAndNamed) {
   EXPECT_EQ(stats.direction.kernel, BottomUpKernel::kWord);
   EXPECT_GT(stats.direction.decisions, 0);
   EXPECT_GE(stats.direction.decisions, stats.direction.bottom_up_levels);
-
-  const std::string json = run_stats_json(stats);
-  std::string error;
-  testing::JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid(&error)) << error;
-  EXPECT_NE(json.find("\"direction\":{\"kernel\":\"word\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"word_commits\":"), std::string::npos);
 
   // Human formatter surfaces the kernel only when it differs from the
   // default, so default-config output stays byte-stable.

@@ -1,11 +1,16 @@
 // Tests for RunStats (formatting, derived metrics, path-length
-// histograms, JSON robustness), BipartiteGraph::from_csr, and matching
-// serialization.
+// histograms, the JSON counter schema), BipartiteGraph::from_csr, and
+// matching serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graftmatch/baselines/hopcroft_karp.hpp"
@@ -13,7 +18,6 @@
 #include "graftmatch/baselines/ss_bfs.hpp"
 #include "graftmatch/baselines/ss_dfs.hpp"
 #include "graftmatch/core/ms_bfs_graft.hpp"
-#include "graftmatch/dynamic/dynamic_matcher.hpp"
 #include "graftmatch/engine/registry.hpp"
 #include "graftmatch/gen/chung_lu.hpp"
 #include "graftmatch/graph/matching_io.hpp"
@@ -76,12 +80,146 @@ TEST(RunStatsJson, RealRunIsStrictlyValid) {
   EXPECT_TRUE(testing::json_valid(run_stats_json(stats), &error)) << error;
 }
 
-// A reduced run must emit the `reduce` block next to `obs`, both
-// strictly valid; an unreduced run must emit neither key.
-TEST(RunStatsJson, ReduceBlockIsStrictlyValid) {
+// ---- The counter schema: one test over every for_each_field list.
+
+template <class T, class = void>
+constexpr bool kHasCollected = false;
+template <class T>
+constexpr bool kHasCollected<T, std::void_t<decltype(T::collected)>> = true;
+
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Converts to any member type, so T{AnyField{}, ...} compiles for up to
+/// exactly as many initializers as aggregate T has members.
+struct AnyField {
+  template <class T>
+  operator T() const;
+};
+
+template <class T, class Indices, class = void>
+constexpr bool kInitializable = false;
+template <class T, std::size_t... I>
+constexpr bool kInitializable<
+    T, std::index_sequence<I...>,
+    std::void_t<decltype(T{(void(I), AnyField{})...})>> = true;
+
+template <class T, std::size_t N = 0>
+constexpr std::size_t member_count() {
+  if constexpr (kInitializable<T, std::make_index_sequence<N + 1>>) {
+    return member_count<T, N + 1>();
+  } else {
+    return N;
+  }
+}
+
+/// Keys with no member behind them, and blocks with a `collected` flag.
+struct SchemaKeys {
+  std::vector<std::string> derived;
+  std::vector<std::string> optional;
+};
+
+/// Gives every field `block`'s list visits a distinct value (NaN or
+/// +-Inf for each double) and sets every `collected` flag except the
+/// one of the block named `omit`. Returns the JSON object
+/// run_stats_json must write for `block`, built from the lists alone,
+/// and checks that each list names each data member and key once.
+template <class Block>
+std::string fill(Block& block, const std::string& omit, std::int64_t& next,
+                 SchemaKeys& schema) {
+  const double non_finite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  std::set<const void*> members;
+  std::set<std::string> keys;
+  std::string json;
+  Block::for_each_field(block, [&](const char* key, auto&& field) {
+    using F = std::decay_t<decltype(field)>;
+    EXPECT_TRUE(keys.insert(key).second) << "key listed twice: " << key;
+    std::ostringstream value;
+    value << std::setprecision(17);
+    if constexpr (!std::is_lvalue_reference_v<decltype(field)>) {
+      schema.derived.push_back(key);
+      value << (std::isfinite(field) ? field : 0.0);
+    } else {
+      members.insert(&field);
+      if constexpr (std::is_same_v<F, bool>) {
+        field = true;
+        value << "true";
+      } else if constexpr (std::is_integral_v<F>) {
+        field = static_cast<F>(++next);
+        value << field;
+      } else if constexpr (std::is_floating_point_v<F>) {
+        field = non_finite[++next % 3];
+        value << 0;
+      } else if constexpr (std::is_enum_v<F>) {
+        field = static_cast<F>(1);
+        value << '"' << to_string(field) << '"';
+      } else if constexpr (std::is_same_v<F, std::string>) {
+        field = "algo";
+        value << "\"algo\"";
+      } else if constexpr (std::is_same_v<F, std::map<std::int64_t,
+                                                      std::int64_t>>) {
+        const std::int64_t length = ++next;
+        field[length] = ++next;
+        value << "[[" << length << ',' << field[length] << "]]";
+      } else if constexpr (kIsVector<F>) {
+        value << '[' << fill(field.emplace_back(), omit, next, schema) << ']';
+      } else {
+        value << fill(field, omit, next, schema);
+        if constexpr (kHasCollected<F>) {
+          schema.optional.push_back(key);
+          field.collected = key != omit;
+          if (!field.collected) return;
+        }
+      }
+    }
+    json += (json.empty() ? "\"" : ",\"") + std::string(key) +
+            "\":" + value.str();
+  });
+  EXPECT_EQ(members.size() + (kHasCollected<Block> ? 1 : 0),
+            member_count<Block>())
+      << json << ": the list misses or repeats a member";
+  return '{' + json + '}';
+}
+
+// Every key of every list comes out once, in list order, inside its
+// block and with its own field's value; non-finite doubles come out as
+// 0; a block whose `collected` is false is left out whole.
+TEST(RunStatsJson, SchemaWritesEveryKeyOnceInItsBlock) {
+  RunStats stats;
+  std::int64_t next = 0;
+  SchemaKeys schema;
+  const std::string expected = fill(stats, "", next, schema);
+  EXPECT_EQ(schema.derived,
+            (std::vector<std::string>{"avg_path_length", "mteps"}));
+  EXPECT_FALSE(schema.optional.empty());
+
+  const std::string json = run_stats_json(stats);
+  std::string error;
+  EXPECT_TRUE(testing::json_valid(json, &error)) << error << "\n" << json;
+  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+  EXPECT_EQ(json, expected);
+
+  for (const std::string& block : schema.optional) {
+    RunStats without;
+    std::int64_t again = 0;
+    SchemaKeys unused;
+    const std::string kept = fill(without, block, again, unused);
+    EXPECT_EQ(kept.find('"' + block + "\":"), std::string::npos);
+    EXPECT_EQ(run_stats_json(without), kept) << block;
+  }
+}
+
+// A d1 reduction reports its counters (average degree 2 leaves
+// pendants to force); engine::run's reduce path owns the trace run.
+TEST(RunStats, ReducedRunCountsForcedMatches) {
   ChungLuParams params;
   params.nx = params.ny = 800;
-  params.avg_degree = 2.0;  // sparse, so pendant reductions actually fire
+  params.avg_degree = 2.0;
   params.seed = 9;
   const BipartiteGraph g = generate_chung_lu(params);
 
@@ -89,161 +227,34 @@ TEST(RunStatsJson, ReduceBlockIsStrictlyValid) {
   Matching m;
   RunConfig config;
   config.reduce = ReduceMode::kDegree1;
-  config.collect_path_histogram = true;
   const RunStats stats = engine::run("graft", "greedy", g, m, config);
   obs::disarm();
-
   ASSERT_TRUE(stats.reduce.collected);
-  ASSERT_TRUE(stats.obs.collected);
+  EXPECT_EQ(stats.reduce.mode, ReduceMode::kDegree1);
   EXPECT_GT(stats.reduce.forced_matches, 0);
-  const std::string json = run_stats_json(stats);
-  std::string error;
-  EXPECT_TRUE(testing::json_valid(json, &error)) << error << "\n" << json;
-  EXPECT_NE(json.find("\"reduce\":{\"mode\":\"d1\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"forced_matches\":"), std::string::npos);
-  EXPECT_NE(json.find("\"reconstruct_seconds\":"), std::string::npos);
-  EXPECT_NE(json.find("\"obs\":{"), std::string::npos);
+  EXPECT_EQ(stats.obs.collected, obs::compiled());
 
-  // Non-finite timings inside the reduce block must stay valid JSON.
-  RunStats degenerate = stats;
-  degenerate.reduce.reduce_seconds = std::numeric_limits<double>::quiet_NaN();
-  degenerate.reduce.compact_seconds = std::numeric_limits<double>::infinity();
-  const std::string bad = run_stats_json(degenerate);
-  EXPECT_TRUE(testing::json_valid(bad, &error)) << error << "\n" << bad;
-  EXPECT_EQ(bad.find("nan"), std::string::npos);
-  EXPECT_EQ(bad.find("inf"), std::string::npos);
-
-  RunStats plain;
-  const std::string without = run_stats_json(plain);
-  EXPECT_TRUE(testing::json_valid(without, &error)) << error;
-  EXPECT_EQ(without.find("\"reduce\""), std::string::npos);
+  Matching unreduced;
+  EXPECT_FALSE(engine::run("graft", "greedy", g, unreduced, RunConfig{})
+                   .reduce.collected);
 }
 
-// A churn run through the DynamicMatcher must emit the `dynamic` block
-// strictly valid, with the non-finite-timing guard that every other
-// block honors; plain stats must omit the key entirely.
-TEST(RunStatsJson, DynamicBlockIsStrictlyValid) {
-  ChungLuParams params;
-  params.nx = params.ny = 300;
-  params.avg_degree = 4.0;
-  params.seed = 21;
-  const BipartiteGraph g = generate_chung_lu(params);
-
-  SessionContext session;
-  dynamic::DynamicMatcher matcher(session, g);
-  const std::vector<Edge> batch = {g.to_edges().edges[0],
-                                   g.to_edges().edges[1]};
-  matcher.remove_edges(batch);
-  matcher.add_edges(batch);
-  const RunStats stats = matcher.stats();
-  ASSERT_TRUE(stats.dynamic.collected);
-  EXPECT_EQ(stats.dynamic.batches, 2);
-  EXPECT_EQ(stats.dynamic.edges_removed, 2);
-
-  const std::string json = run_stats_json(stats);
-  std::string error;
-  EXPECT_TRUE(testing::json_valid(json, &error)) << error << "\n" << json;
-  EXPECT_NE(json.find("\"dynamic\":{\"batches\":2"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"reaugment_searches\":"), std::string::npos);
-  EXPECT_NE(json.find("\"overlay_peak\":"), std::string::npos);
-
-  // Non-finite timings inside the dynamic block must stay valid JSON.
-  RunStats degenerate = stats;
-  degenerate.dynamic.apply_seconds = std::numeric_limits<double>::quiet_NaN();
-  degenerate.dynamic.reaugment_seconds =
-      std::numeric_limits<double>::infinity();
-  degenerate.dynamic.compact_seconds =
-      -std::numeric_limits<double>::infinity();
-  degenerate.dynamic.resolve_seconds =
-      std::numeric_limits<double>::quiet_NaN();
-  const std::string bad = run_stats_json(degenerate);
-  EXPECT_TRUE(testing::json_valid(bad, &error)) << error << "\n" << bad;
-  EXPECT_EQ(bad.find("nan"), std::string::npos);
-  EXPECT_EQ(bad.find("inf"), std::string::npos);
-
-  RunStats plain;
-  const std::string without = run_stats_json(plain);
-  EXPECT_TRUE(testing::json_valid(without, &error)) << error;
-  EXPECT_EQ(without.find("\"dynamic\""), std::string::npos);
-}
-
-// A real MS-BFS-Graft run emits the `bookkeeping` block (workspace
-// warmth, incremental-sweep counters); hand-built stats without it must
-// omit the key entirely.
-TEST(RunStatsJson, BookkeepingBlockIsStrictlyValid) {
+// MS-BFS-Graft fills the bookkeeping block; a second run of the same
+// dimensions gets a warm workspace back from the session's
+// WorkspacePool.
+TEST(RunStats, SecondSameSizeRunFindsTheWorkspaceWarm) {
   ChungLuParams params;
   params.nx = params.ny = 1200;
   params.avg_degree = 4.0;
   params.seed = 13;
   const BipartiteGraph g = generate_chung_lu(params);
 
-  RunConfig config;
-  RunStats stats;
-  {
-    Matching m(g.num_x(), g.num_y());
-    stats = ms_bfs_graft(g, m, config);
-  }
+  Matching first(g.num_x(), g.num_y());
+  const RunStats stats = ms_bfs_graft(g, first);
   ASSERT_TRUE(stats.bookkeeping.collected);
-  const std::string json = run_stats_json(stats);
-  std::string error;
-  EXPECT_TRUE(testing::json_valid(json, &error)) << error << "\n" << json;
-  EXPECT_NE(json.find("\"bookkeeping\":{\"workspace_warm\":"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"classified_y\":"), std::string::npos);
-  EXPECT_NE(json.find("\"epoch_bumps\":"), std::string::npos);
-  // The incremental classification sweeps visit forest members only;
-  // their volume is bounded by runs over the whole vertex range.
-  EXPECT_GE(stats.bookkeeping.classified_y, 0);
-  EXPECT_GE(stats.bookkeeping.counted_x, 0);
 
-  // Same thread, same dimensions: the thread_local workspace is warm.
-  {
-    Matching m(g.num_x(), g.num_y());
-    const RunStats again = ms_bfs_graft(g, m, config);
-    EXPECT_TRUE(again.bookkeeping.workspace_warm);
-    const std::string warm_json = run_stats_json(again);
-    EXPECT_TRUE(testing::json_valid(warm_json, &error)) << error;
-    EXPECT_NE(warm_json.find("\"workspace_warm\":true"), std::string::npos)
-        << warm_json;
-  }
-
-  RunStats plain;
-  const std::string without = run_stats_json(plain);
-  EXPECT_TRUE(testing::json_valid(without, &error)) << error;
-  EXPECT_EQ(without.find("\"bookkeeping\""), std::string::npos);
-}
-
-// JSON has no NaN/Inf literals; non-finite doubles (a 0-second run, a
-// degenerate division) must never corrupt the document.
-TEST(RunStatsJson, NonFiniteFieldsStayValid) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  RunStats stats;
-  stats.algorithm = "degenerate";
-  stats.seconds = nan;
-  stats.step_seconds.top_down = inf;
-  stats.step_seconds.bottom_up = -inf;
-  stats.step_seconds.augment = nan;
-  stats.step_seconds.graft = inf;
-  stats.step_seconds.statistics = nan;
-  stats.step_seconds.other = inf;
-  PhaseStats phase;
-  phase.phase = 1;
-  phase.seconds = nan;
-  stats.phase_stats.push_back(phase);
-  // edges > 0 with seconds = NaN makes mteps() NaN too.
-  stats.edges_traversed = 100;
-  stats.augmentations = 1;
-  stats.total_path_edges = 3;
-
-  const std::string json = run_stats_json(stats);
-  std::string error;
-  EXPECT_TRUE(testing::json_valid(json, &error)) << error << "\n" << json;
-  EXPECT_EQ(json.find("nan"), std::string::npos);
-  EXPECT_EQ(json.find("inf"), std::string::npos);
+  Matching second(g.num_x(), g.num_y());
+  EXPECT_TRUE(ms_bfs_graft(g, second).bookkeeping.workspace_warm);
 }
 
 // Algorithm names flow into JSON verbatim; quotes, backslashes, and
